@@ -29,9 +29,9 @@
 #   9. the compressed-segment comparison: encoded vs plain scans and
 #      aggregation, with the bytes_touched/op column
 #      (BenchmarkCompress*) -> BENCH_compress.json
-#  10. the join-ordering comparison: syntactic vs greedy vs cost-based DP
-#      over star/chain/snowflake, with plan_ns/op and run_ns/op columns
-#      (BenchmarkJoinOrder) -> BENCH_joinorder.json
+#  10. the join-ordering comparison: syntactic (the never-reordered
+#      oracle) vs greedy over star/chain/snowflake, with plan_ns/op and
+#      run_ns/op columns (BenchmarkJoinOrder) -> BENCH_joinorder.json
 #
 # Raw benchmark text lands under bench-artifacts/ (gitignored); only the
 # BENCH_*.json baselines are checked in.

@@ -67,16 +67,10 @@ func main() {
 		"primary address to replicate from; serves reads, refuses writes until promoted")
 	encodings := flag.Bool("encodings", true,
 		"compress column segments per 64K slab (RLE/dict/FOR/delta) at checkpoints")
-	joinOrder := flag.String("join-order", "greedy",
-		"multi-way join ordering: syntactic, greedy or dp")
 	flag.Parse()
 
 	sciql.SetThreads(*threads)
 	sciql.SetEncodingsEnabled(*encodings)
-	if err := sciql.SetJoinOrder(*joinOrder); err != nil {
-		fmt.Fprintln(os.Stderr, "sciqld:", err)
-		os.Exit(2)
-	}
 
 	var (
 		db     *sciql.DB

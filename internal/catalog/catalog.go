@@ -131,8 +131,12 @@ func (a *Array) AttrIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// RebuildDims re-materialises the dimension BATs from the current shape.
+// RebuildDims re-materialises the dimension BATs from the current shape,
+// rejecting shapes beyond shape.MaxCells first.
 func (a *Array) RebuildDims() error {
+	if err := a.Shape.Check(); err != nil {
+		return err
+	}
 	dims, err := gdk.DimBATs(a.Shape)
 	if err != nil {
 		return err
@@ -342,15 +346,6 @@ func (c *Catalog) ArrayNames() []string {
 // NewArray materialises a fresh array: dimension BATs via array.series and
 // attribute BATs via array.filler with each attribute's default (Fig. 3).
 func NewArray(name string, sh shape.Shape, attrs []Column, unbounded []bool) (*Array, error) {
-	for k, d := range sh {
-		if d.Step == 0 {
-			return nil, fmt.Errorf("dimension %q: step must be non-zero", d.Name)
-		}
-		if d.N() < 0 {
-			return nil, fmt.Errorf("dimension %q: empty range", d.Name)
-		}
-		_ = k
-	}
 	a := &Array{Name: normalize(name), Shape: sh, Attrs: attrs, Unbounded: unbounded}
 	if err := a.RebuildDims(); err != nil {
 		return nil, err

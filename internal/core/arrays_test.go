@@ -142,6 +142,38 @@ func TestInsertOutsideFixedArrayFails(t *testing.T) {
 	}
 }
 
+// oversizedArrays are CREATE ARRAY shapes no process can materialise: a
+// 2^32 x 2^32 grid (whose int64 cell count wraps to zero) and one
+// dimension spanning the whole int64 range.
+var oversizedArrays = []string{
+	`CREATE ARRAY big2 (x INT DIMENSION[0:1:4294967296], y INT DIMENSION[0:1:4294967296], v INT DEFAULT 0)`,
+	`CREATE ARRAY big1 (x INT DIMENSION[0:1:9223372036854775807], v INT DEFAULT 0)`,
+}
+
+// TestOversizedArrayCleanError pins that shapes past shape.MaxCells end
+// in a clean error, never a panic or an allocation the process cannot
+// survive — on CREATE, ALTER DIMENSION and unbounded growth alike.
+func TestOversizedArrayCleanError(t *testing.T) {
+	db := New()
+	db.MustQuery(`CREATE ARRAY g (x INT DIMENSION, v INT DEFAULT 0)`)
+	db.MustQuery(`CREATE ARRAY f (x INT DIMENSION[0:1:4], v INT DEFAULT 0)`)
+	stmts := append(append([]string{}, oversizedArrays...),
+		`ALTER ARRAY f ALTER DIMENSION x SET RANGE [0:1:9223372036854775807]`,
+		`INSERT INTO g VALUES (0, 1), (9223372036854775806, 1)`)
+	for _, q := range stmts {
+		_, err := db.Query(q)
+		if err == nil || strings.Contains(err.Error(), "internal error") ||
+			!strings.Contains(err.Error(), "cells") {
+			t.Errorf("%s: got %v, want a clean cell-limit error", q, err)
+		}
+	}
+	expectRows(t, db, `SELECT COUNT(*) FROM f`, []string{"4"})
+	expectRows(t, db, `SELECT COUNT(*) FROM g`, []string{"0"})
+	if db.cat.Exists("big1") || db.cat.Exists("big2") {
+		t.Fatal("a rejected array was registered")
+	}
+}
+
 func TestArrayGrowthPreservesData(t *testing.T) {
 	db := New()
 	db.MustQuery(`CREATE ARRAY ts (t INT DIMENSION, v INT DEFAULT -1)`)

@@ -491,7 +491,7 @@ func bindTableSets(b *rel.Binder, sc *rel.Scope, t *catalog.Table, n int, s *ast
 		if err != nil {
 			return nil, err
 		}
-		vals, err := evalVecBAT(t.Bats, n, e)
+		vals, err := rel.EvalBAT(t.Bats, n, e)
 		if err != nil {
 			return nil, err
 		}
@@ -636,7 +636,7 @@ func bindArraySets(b *rel.Binder, sc *rel.Scope, a *catalog.Array, cols []*bat.B
 		if err != nil {
 			return nil, err
 		}
-		vals, err := evalVecBAT(cols, n, e)
+		vals, err := rel.EvalBAT(cols, n, e)
 		if err != nil {
 			return nil, err
 		}
@@ -725,7 +725,7 @@ func dmlMask(b *rel.Binder, sc *rel.Scope, cols []*bat.BAT, n int, where ast.Exp
 	if e.Kind() != types.KindBool && e.Kind() != types.KindVoid {
 		return nil, fmt.Errorf("WHERE must be boolean, got %s", e.Kind())
 	}
-	return evalVecBAT(cols, n, e)
+	return rel.EvalBAT(cols, n, e)
 }
 
 // maskTrue compiles the WHERE-mask row test: the mask payload is decoded

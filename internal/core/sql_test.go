@@ -187,6 +187,10 @@ func TestScalarFunctions(t *testing.T) {
 		`SELECT LENGTH('hello')`:                       "5",
 		`SELECT UPPER('abc') || LOWER('DEF')`:          "ABCdef",
 		`SELECT SUBSTRING('hello' FROM 2 FOR 3)`:       "ell",
+		`SELECT SUBSTRING('hello' FROM -1 FOR 3)`:      "h",
+		`SELECT SUBSTRING('héllo' FROM 2 FOR 1)`:       "é",
+		`SELECT LENGTH('héllo')`:                       "5",
+		`SELECT 'héllo' LIKE 'h_llo'`:                  "true",
 		`SELECT CASE WHEN 1 > 2 THEN 'a' ELSE 'b' END`: "b",
 		`SELECT 1 + 2 * 3`:                             "7",
 		`SELECT 10 / 4`:                                "2",

@@ -41,11 +41,6 @@ const (
 	recBulkAttrInts
 )
 
-// maxReplayCells bounds array shapes accepted during replay; anything
-// larger is treated as corruption (it would dwarf what this engine can
-// materialise anyway) instead of driving a huge allocation.
-const maxReplayCells = 1 << 31
-
 // ------------------------------------------------------------- encoding
 
 type recEnc struct{ b []byte }
@@ -532,9 +527,6 @@ func arrayFromManifest(ma manifestArray) (*catalog.Array, error) {
 		sh = append(sh, shape.Dim{Name: md.Name, Start: md.Start, Step: md.Step, Stop: md.Stop})
 		unbounded = append(unbounded, md.Unbounded)
 	}
-	if err := checkReplayShape(sh); err != nil {
-		return nil, err
-	}
 	attrs := make([]catalog.Column, 0, len(ma.Attrs))
 	for _, mc := range ma.Attrs {
 		col, err := colFromManifest(mc)
@@ -544,26 +536,6 @@ func arrayFromManifest(ma manifestArray) (*catalog.Array, error) {
 		attrs = append(attrs, col)
 	}
 	return catalog.NewArray(ma.Name, sh, attrs, unbounded)
-}
-
-// checkReplayShape rejects shapes a corrupt record could smuggle in: a
-// zero step, a negative extent, or a cell count past maxReplayCells.
-func checkReplayShape(sh shape.Shape) error {
-	cells := int64(1)
-	for _, d := range sh {
-		if d.Step == 0 {
-			return fmt.Errorf("zero step in dimension %q", d.Name)
-		}
-		n := int64(d.N())
-		if n < 0 {
-			return fmt.Errorf("negative extent in dimension %q", d.Name)
-		}
-		if n > 0 && cells > maxReplayCells/n {
-			return fmt.Errorf("implausible cell count")
-		}
-		cells *= n
-	}
-	return nil
 }
 
 func (db *DB) applyDrop(body []byte) error {
@@ -601,9 +573,6 @@ func (db *DB) applyAlterDim(body []byte) error {
 	}
 	newShape := append(shape.Shape{}, a.Shape...)
 	newShape[k].Start, newShape[k].Step, newShape[k].Stop = start, step, stop
-	if err := checkReplayShape(newShape); err != nil {
-		return fmt.Errorf("wal alter dimension: %v", err)
-	}
 	if err := reshapeArrayTo(a, newShape); err != nil {
 		return fmt.Errorf("wal alter dimension: %v", err)
 	}
@@ -614,8 +583,12 @@ func (db *DB) applyAlterDim(body []byte) error {
 // reshapeArrayTo re-grids every attribute onto newShape (overlapping
 // cells keep their values, fresh cells get the attribute default) and
 // rebuilds the dimension BATs. Shared by ALTER DIMENSION, unbounded
-// growth and their WAL replays.
+// growth and their WAL replays; shapes beyond shape.MaxCells are rejected
+// before anything is allocated.
 func reshapeArrayTo(a *catalog.Array, newShape shape.Shape) error {
+	if err := newShape.Check(); err != nil {
+		return err
+	}
 	for i, col := range a.Attrs {
 		def := col.Default
 		if !col.HasDef {
@@ -758,9 +731,6 @@ func (db *DB) applyArrayCells(op byte, body []byte) error {
 		newShape := d.dims(a.Shape)
 		if d.err != nil {
 			return d.err
-		}
-		if err := checkReplayShape(newShape); err != nil {
-			return fmt.Errorf("wal array write: %v", err)
 		}
 		if !shapesEqual(a.Shape, newShape) {
 			if err := reshapeArrayTo(a, newShape); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -690,7 +691,8 @@ func Concat(l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	return withNulls(bat.FromStrings(out), nulls), nil
 }
 
-// StrUnary evaluates "upper", "lower" or "length".
+// StrUnary evaluates "upper", "lower" or "length"; LENGTH counts
+// characters (UTF-8 code points), the unit LIKE's _ and SUBSTRING use.
 func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(cand, &x); err != nil {
 		return nil, err
@@ -717,7 +719,7 @@ func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 		out := make([]int64, n)
 		par.Do(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				out[i] = int64(len(xs[i]))
+				out[i] = int64(utf8.RuneCountInString(xs[i]))
 			}
 		})
 		return withNulls(bat.FromIntsOfKind(out, types.KindInt), xn.Clone()), nil
@@ -727,7 +729,9 @@ func StrUnary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
 }
 
 // Substring implements SUBSTRING(s FROM start FOR length) with SQL's
-// 1-based start position.
+// semantics: positions count characters from 1, and the result holds the
+// characters at positions [start, start+length) that exist, so a start
+// before 1 shortens the result. A negative length yields the empty string.
 func Substring(x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
 	if err := restrictTo(cand, &x, &start, &length); err != nil {
 		return nil, err
@@ -752,25 +756,36 @@ func Substring(x, start, length Opnd, cand *bat.BAT) (*bat.BAT, error) {
 			if nulls.Get(i) {
 				continue
 			}
-			s := xs[i]
-			from := int(si[i]) - 1
-			if from < 0 {
-				from = 0
-			}
-			if from > len(s) {
-				from = len(s)
-			}
-			to := from + int(li[i])
-			if to < from {
-				to = from
-			}
-			if to > len(s) {
-				to = len(s)
-			}
-			out[i] = s[from:to]
+			out[i] = substr(xs[i], si[i], li[i])
 		}
 	})
 	return withNulls(bat.FromStrings(out), nulls), nil
+}
+
+// substr returns the characters of s at 1-based positions
+// [start, start+length), clamped to the string.
+func substr(s string, start, length int64) string {
+	end := start + length
+	if length > 0 && end < start {
+		end = math.MaxInt64 // saturate instead of wrapping
+	}
+	start = max(start, 1)
+	if end <= start {
+		return ""
+	}
+	lo, hi := len(s), len(s)
+	pos := int64(1)
+	for i := range s {
+		if pos == start {
+			lo = i
+		}
+		if pos == end {
+			hi = i
+			break
+		}
+		pos++
+	}
+	return s[lo:hi]
 }
 
 // Like evaluates the SQL LIKE predicate with % and _ wildcards.
@@ -844,4 +859,44 @@ func likeMatch(s, p []rune) bool {
 		pi++
 	}
 	return pi == len(p)
+}
+
+// Binary dispatches a binary scalar operator of the bound expression tree
+// (rel.Bin.Op) to its calculator kernel. It is the one operator-string to
+// kernel mapping: MAL's batcalc instructions and the scalar evaluator both
+// go through it.
+func Binary(op string, l, r Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	switch op {
+	case "+", "-", "*", "/", "%":
+		return Arith(op, l, r, cand)
+	case "=", "<>", "<", "<=", ">", ">=":
+		return Compare(op, l, r, cand)
+	case "AND":
+		return And(l, r, cand)
+	case "OR":
+		return Or(l, r, cand)
+	case "||":
+		return Concat(l, r, cand)
+	case "like":
+		return Like(l, r, cand)
+	case "pow":
+		return Power(l, r, cand)
+	}
+	return nil, fmt.Errorf("unknown binary operator %q", op)
+}
+
+// Unary dispatches a unary scalar operator (rel.Un.Op) to its calculator
+// kernel; see Binary.
+func Unary(op string, x Opnd, cand *bat.BAT) (*bat.BAT, error) {
+	switch op {
+	case "-", "abs", "sqrt", "floor", "ceil", "exp", "log", "round", "sign":
+		return UnaryNum(op, x, cand)
+	case "not":
+		return Not(x, cand)
+	case "isnull":
+		return IsNull(x, cand)
+	case "upper", "lower", "length":
+		return StrUnary(op, x, cand)
+	}
+	return nil, fmt.Errorf("unknown unary operator %q", op)
 }

@@ -209,6 +209,51 @@ func TestStringKernels(t *testing.T) {
 	if err != nil || sub.Strs()[0] != "ell" {
 		t.Errorf("substring: %v %v", sub.Strs(), err)
 	}
+
+	// SQL character semantics: SUBSTRING and LENGTH count UTF-8 code
+	// points, as LIKE's _ does, and a start before position 1 shortens
+	// the result instead of being clamped.
+	const maxI = int64(1<<63 - 1)
+	for _, c := range []struct {
+		s           string
+		start, size int64
+		want        string
+	}{
+		{"hello", 2, 3, "ell"},
+		{"hello", -1, 3, "h"},
+		{"hello", 0, 1, ""},
+		{"hello", 0, 2, "h"},
+		{"hello", 4, 10, "lo"},
+		{"hello", 6, 1, ""},
+		{"hello", 2, -1, ""},
+		{"hello", 1, maxI, "hello"},
+		{"hello", -maxI, maxI, ""},
+		{"héllo", 2, 1, "é"},
+		{"héllo", 1, 3, "hél"},
+		{"日本語", 2, 2, "本語"},
+		{"", 1, 1, ""},
+	} {
+		out, err := Substring(C(types.Str(c.s), 1), C(types.Int(c.start), 1), C(types.Int(c.size), 1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Strs()[0]; got != c.want {
+			t.Errorf("SUBSTRING(%q FROM %d FOR %d) = %q, want %q", c.s, c.start, c.size, got, c.want)
+		}
+	}
+	ln, err = StrUnary("length", B(bat.FromStrings([]string{"héllo", "日本語", ""})), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{5, 3, 0} {
+		if got := ln.Ints()[i]; got != want {
+			t.Errorf("LENGTH row %d = %d, want %d", i, got, want)
+		}
+	}
+	like, err := Like(C(types.Str("héllo"), 1), C(types.Str("h_llo"), 1), nil)
+	if err != nil || !like.Bools()[0] {
+		t.Errorf("'héllo' LIKE 'h_llo' = %v, %v; want true", like.Bools(), err)
+	}
 }
 
 func TestLikeKernel(t *testing.T) {

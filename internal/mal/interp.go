@@ -534,19 +534,7 @@ func (c *Ctx) exec(in *Instr) error {
 				return err
 			}
 		}
-		var out *bat.BAT
-		switch op {
-		case "-", "abs", "sqrt", "floor", "ceil", "exp", "log", "round", "sign":
-			out, err = gdk.UnaryNum(op, x, cand)
-		case "not":
-			out, err = gdk.Not(x, cand)
-		case "isnull":
-			out, err = gdk.IsNull(x, cand)
-		case "upper", "lower", "length":
-			out, err = gdk.StrUnary(op, x, cand)
-		default:
-			return fmt.Errorf("unknown unary op %q", op)
-		}
+		out, err := gdk.Unary(op, x, cand)
 		if err != nil {
 			return err
 		}
@@ -651,25 +639,7 @@ func (c *Ctx) execBin(in *Instr) error {
 			return err
 		}
 	}
-	var out *bat.BAT
-	switch op {
-	case "+", "-", "*", "/", "%":
-		out, err = gdk.Arith(op, l, r, cand)
-	case "=", "<>", "<", "<=", ">", ">=":
-		out, err = gdk.Compare(op, l, r, cand)
-	case "AND":
-		out, err = gdk.And(l, r, cand)
-	case "OR":
-		out, err = gdk.Or(l, r, cand)
-	case "||":
-		out, err = gdk.Concat(l, r, cand)
-	case "like":
-		out, err = gdk.Like(l, r, cand)
-	case "pow":
-		out, err = gdk.Power(l, r, cand)
-	default:
-		return fmt.Errorf("unknown binary op %q", op)
-	}
+	out, err := gdk.Binary(op, l, r, cand)
 	if err != nil {
 		return err
 	}

@@ -209,7 +209,7 @@ func (b *Binder) applyLimit(sel *ast.Select, node Node) (Node, error) {
 	lim := int64(-1)
 	off := int64(0)
 	if sel.Limit != nil {
-		v, err := b.constInt(sel.Limit)
+		v, err := b.ConstInt(sel.Limit)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +219,7 @@ func (b *Binder) applyLimit(sel *ast.Select, node Node) (Node, error) {
 		lim = v
 	}
 	if sel.Offset != nil {
-		v, err := b.constInt(sel.Offset)
+		v, err := b.ConstInt(sel.Offset)
 		if err != nil {
 			return nil, err
 		}
@@ -928,53 +928,11 @@ func (b *Binder) applyOrderLimit(sel *ast.Select, node Node) (Node, error) {
 		}
 		node = &Sort{Child: node, Keys: keys, Desc: descs}
 	}
-	if sel.Limit != nil || sel.Offset != nil {
-		lim := int64(-1)
-		off := int64(0)
-		if sel.Limit != nil {
-			v, err := b.constInt(sel.Limit)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("LIMIT must be non-negative")
-			}
-			lim = v
-		}
-		if sel.Offset != nil {
-			v, err := b.constInt(sel.Offset)
-			if err != nil {
-				return nil, err
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("OFFSET must be non-negative")
-			}
-			off = v
-		}
-		node = &Limit{Child: node, Offset: off, Count: lim}
-	}
-	return node, nil
+	return b.applyLimit(sel, node)
 }
 
-// constInt evaluates a constant integer AST expression (LIMIT, dimension
-// ranges).
-func (b *Binder) constInt(e ast.Expr) (int64, error) {
-	bound, err := b.bindExpr(NewScope(nil), e)
-	if err != nil {
-		return 0, err
-	}
-	v, err := EvalConst(bound)
-	if err != nil {
-		return 0, err
-	}
-	if v.IsNull() {
-		return 0, fmt.Errorf("at %s: expected a constant integer, got NULL", e.Position())
-	}
-	return v.AsInt()
-}
-
-// ConstValue evaluates a constant AST expression to a value (used for
-// DEFAULT clauses and VALUES rows).
+// ConstValue evaluates a constant AST expression to a value (DEFAULT
+// clauses, VALUES rows) through EvalConst.
 func (b *Binder) ConstValue(e ast.Expr) (types.Value, error) {
 	bound, err := b.bindExpr(NewScope(nil), e)
 	if err != nil {
@@ -983,8 +941,18 @@ func (b *Binder) ConstValue(e ast.Expr) (types.Value, error) {
 	return EvalConst(bound)
 }
 
-// ConstInt evaluates a constant integer AST expression.
-func (b *Binder) ConstInt(e ast.Expr) (int64, error) { return b.constInt(e) }
+// ConstInt evaluates a constant integer AST expression (LIMIT/OFFSET,
+// dimension ranges).
+func (b *Binder) ConstInt(e ast.Expr) (int64, error) {
+	v, err := b.ConstValue(e)
+	if err != nil {
+		return 0, err
+	}
+	if v.IsNull() {
+		return 0, fmt.Errorf("at %s: expected a constant integer, got NULL", e.Position())
+	}
+	return v.AsInt()
+}
 
 // unifyUnionArms promotes both UNION ALL arms to common column kinds,
 // wrapping either arm in a casting projection when needed.

@@ -248,29 +248,6 @@ func TestOptimizerSATSelection(t *testing.T) {
 	}
 }
 
-func TestEvalRowMatchesKernels(t *testing.T) {
-	// Scalar evaluation of a CASE expression with three-valued logic.
-	e := &IfElse{
-		Cond: &Bin{Op: ">", L: &Col{Idx: 0, Info: ColInfo{Kind: types.KindInt}}, R: &Const{Val: types.Int(0)}, K: types.KindBool},
-		Then: &Const{Val: types.Str("pos")},
-		Else: &Const{Val: types.Str("nonpos")},
-		K:    types.KindStr,
-	}
-	get := func(v types.Value) func(int) (types.Value, error) {
-		return func(int) (types.Value, error) { return v, nil }
-	}
-	if v, err := EvalRow(e, get(types.Int(3))); err != nil || v.StrVal() != "pos" {
-		t.Errorf("pos: %v %v", v, err)
-	}
-	if v, err := EvalRow(e, get(types.Int(-3))); err != nil || v.StrVal() != "nonpos" {
-		t.Errorf("nonpos: %v %v", v, err)
-	}
-	// NULL condition takes the else branch.
-	if v, err := EvalRow(e, get(types.Null(types.KindInt))); err != nil || v.StrVal() != "nonpos" {
-		t.Errorf("null: %v %v", v, err)
-	}
-}
-
 func TestMapColsAndColsUsed(t *testing.T) {
 	e := &Bin{Op: "+",
 		L: &Col{Idx: 1, Info: ColInfo{Kind: types.KindInt}},

@@ -1,394 +1,6 @@
 package rel
 
-import (
-	"fmt"
-	"math"
-	"strings"
-
-	"repro/internal/types"
-)
-
-// EvalRow evaluates a bound expression for a single row; get returns the
-// value of column ordinal i. The semantics match the vectorised gdk
-// kernels exactly (three-valued logic, NULL propagation, division-by-zero
-// errors), so scalar contexts (DDL range expressions, VALUES rows, constant
-// folding) agree with query execution.
-func EvalRow(e Expr, get func(int) (types.Value, error)) (types.Value, error) {
-	switch x := e.(type) {
-	case *Const:
-		return x.Val, nil
-	case *Col:
-		if get == nil {
-			return types.Value{}, fmt.Errorf("expression is not constant: references column %s", x)
-		}
-		return get(x.Idx)
-	case *Bin:
-		return evalBin(x, get)
-	case *Un:
-		return evalUn(x, get)
-	case *IfElse:
-		c, err := EvalRow(x.Cond, get)
-		if err != nil {
-			return types.Value{}, err
-		}
-		if !c.IsNull() && c.BoolVal() {
-			v, err := EvalRow(x.Then, get)
-			if err != nil {
-				return types.Value{}, err
-			}
-			return castTo(v, x.K)
-		}
-		v, err := EvalRow(x.Else, get)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return castTo(v, x.K)
-	case *Cast:
-		v, err := EvalRow(x.X, get)
-		if err != nil {
-			return types.Value{}, err
-		}
-		return v.Cast(x.To)
-	case *Substr:
-		return evalSubstr(x, get)
-	case *CellFetch:
-		if get == nil {
-			return types.Value{}, fmt.Errorf("expression is not constant: contains a cell reference")
-		}
-		coords := make([]int64, len(x.Coords))
-		for i, c := range x.Coords {
-			v, err := EvalRow(c, get)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if v.IsNull() {
-				return types.Null(x.Kind()), nil
-			}
-			iv, err := v.AsInt()
-			if err != nil {
-				return types.Value{}, err
-			}
-			coords[i] = iv
-		}
-		p, ok := x.A.Shape.Pos(coords)
-		if !ok {
-			return types.Null(x.Kind()), nil
-		}
-		return x.A.AttrBats[x.AttrIdx].Get(p), nil
-	default:
-		return types.Value{}, fmt.Errorf("cannot evaluate %T", e)
-	}
-}
-
-// EvalConst evaluates a constant expression (no column references).
-func EvalConst(e Expr) (types.Value, error) { return EvalRow(e, nil) }
-
-func castTo(v types.Value, k types.Kind) (types.Value, error) {
-	if v.IsNull() {
-		return types.Null(k), nil
-	}
-	if v.Kind() == k {
-		return v, nil
-	}
-	return v.Cast(k)
-}
-
-func evalBin(x *Bin, get func(int) (types.Value, error)) (types.Value, error) {
-	// AND/OR need lazy three-valued evaluation.
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := EvalRow(x.L, get)
-		if err != nil {
-			return types.Value{}, err
-		}
-		r, err := EvalRow(x.R, get)
-		if err != nil {
-			return types.Value{}, err
-		}
-		ln, rn := l.IsNull(), r.IsNull()
-		lv := !ln && l.BoolVal()
-		rv := !rn && r.BoolVal()
-		if x.Op == "AND" {
-			if (!ln && !lv) || (!rn && !rv) {
-				return types.Bool(false), nil
-			}
-			if ln || rn {
-				return types.Null(types.KindBool), nil
-			}
-			return types.Bool(true), nil
-		}
-		if lv || rv {
-			return types.Bool(true), nil
-		}
-		if ln || rn {
-			return types.Null(types.KindBool), nil
-		}
-		return types.Bool(false), nil
-	}
-	l, err := EvalRow(x.L, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	r, err := EvalRow(x.R, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		if l.IsNull() || r.IsNull() {
-			return types.Null(x.K), nil
-		}
-		if x.K == types.KindFloat {
-			a, err := l.AsFloat()
-			if err != nil {
-				return types.Value{}, err
-			}
-			bf, err := r.AsFloat()
-			if err != nil {
-				return types.Value{}, err
-			}
-			switch x.Op {
-			case "+":
-				return types.Float(a + bf), nil
-			case "-":
-				return types.Float(a - bf), nil
-			case "*":
-				return types.Float(a * bf), nil
-			case "/":
-				if bf == 0 {
-					return types.Value{}, fmt.Errorf("division by zero")
-				}
-				return types.Float(a / bf), nil
-			case "%":
-				if bf == 0 {
-					return types.Value{}, fmt.Errorf("modulo by zero")
-				}
-				return types.Float(math.Mod(a, bf)), nil
-			}
-		}
-		a, err := l.AsInt()
-		if err != nil {
-			return types.Value{}, err
-		}
-		bi, err := r.AsInt()
-		if err != nil {
-			return types.Value{}, err
-		}
-		switch x.Op {
-		case "+":
-			return types.Int(a + bi), nil
-		case "-":
-			return types.Int(a - bi), nil
-		case "*":
-			return types.Int(a * bi), nil
-		case "/":
-			if bi == 0 {
-				return types.Value{}, fmt.Errorf("division by zero")
-			}
-			return types.Int(a / bi), nil
-		case "%":
-			if bi == 0 {
-				return types.Value{}, fmt.Errorf("modulo by zero")
-			}
-			return types.Int(a % bi), nil
-		}
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return types.Null(types.KindBool), nil
-		}
-		c := l.Compare(r)
-		switch x.Op {
-		case "=":
-			return types.Bool(c == 0), nil
-		case "<>":
-			return types.Bool(c != 0), nil
-		case "<":
-			return types.Bool(c < 0), nil
-		case "<=":
-			return types.Bool(c <= 0), nil
-		case ">":
-			return types.Bool(c > 0), nil
-		case ">=":
-			return types.Bool(c >= 0), nil
-		}
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return types.Null(types.KindStr), nil
-		}
-		return types.Str(l.StrVal() + r.StrVal()), nil
-	case "like":
-		if l.IsNull() || r.IsNull() {
-			return types.Null(types.KindBool), nil
-		}
-		return types.Bool(likeScalar(l.StrVal(), r.StrVal())), nil
-	case "pow":
-		if l.IsNull() || r.IsNull() {
-			return types.Null(types.KindFloat), nil
-		}
-		a, err := l.AsFloat()
-		if err != nil {
-			return types.Value{}, err
-		}
-		bf, err := r.AsFloat()
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.Float(math.Pow(a, bf)), nil
-	}
-	return types.Value{}, fmt.Errorf("cannot evaluate operator %q", x.Op)
-}
-
-func evalUn(x *Un, get func(int) (types.Value, error)) (types.Value, error) {
-	v, err := EvalRow(x.X, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if x.Op == "isnull" {
-		return types.Bool(v.IsNull()), nil
-	}
-	if v.IsNull() {
-		return types.Null(x.K), nil
-	}
-	switch x.Op {
-	case "-":
-		if v.Kind() == types.KindFloat {
-			return types.Float(-v.Float64()), nil
-		}
-		iv, err := v.AsInt()
-		if err != nil {
-			return types.Value{}, err
-		}
-		return types.Int(-iv), nil
-	case "not":
-		return types.Bool(!v.BoolVal()), nil
-	case "abs":
-		if v.Kind() == types.KindFloat {
-			return types.Float(math.Abs(v.Float64())), nil
-		}
-		iv, err := v.AsInt()
-		if err != nil {
-			return types.Value{}, err
-		}
-		if iv < 0 {
-			iv = -iv
-		}
-		return types.Int(iv), nil
-	case "sqrt", "floor", "ceil", "exp", "log", "round":
-		f, err := v.AsFloat()
-		if err != nil {
-			return types.Value{}, err
-		}
-		switch x.Op {
-		case "sqrt":
-			if f < 0 {
-				return types.Value{}, fmt.Errorf("sqrt of negative value %v", f)
-			}
-			return types.Float(math.Sqrt(f)), nil
-		case "floor":
-			return types.Float(math.Floor(f)), nil
-		case "ceil":
-			return types.Float(math.Ceil(f)), nil
-		case "exp":
-			return types.Float(math.Exp(f)), nil
-		case "log":
-			if f <= 0 {
-				return types.Value{}, fmt.Errorf("log of non-positive value %v", f)
-			}
-			return types.Float(math.Log(f)), nil
-		case "round":
-			return types.Float(math.Round(f)), nil
-		}
-	case "sign":
-		f, err := v.AsFloat()
-		if err != nil {
-			return types.Value{}, err
-		}
-		switch {
-		case f > 0:
-			return types.Int(1), nil
-		case f < 0:
-			return types.Int(-1), nil
-		default:
-			return types.Int(0), nil
-		}
-	case "upper":
-		return types.Str(strings.ToUpper(v.StrVal())), nil
-	case "lower":
-		return types.Str(strings.ToLower(v.StrVal())), nil
-	case "length":
-		return types.Int(int64(len(v.StrVal()))), nil
-	}
-	return types.Value{}, fmt.Errorf("cannot evaluate unary %q", x.Op)
-}
-
-func evalSubstr(x *Substr, get func(int) (types.Value, error)) (types.Value, error) {
-	v, err := EvalRow(x.X, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	fromV, err := EvalRow(x.From, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	forV, err := EvalRow(x.For, get)
-	if err != nil {
-		return types.Value{}, err
-	}
-	if v.IsNull() || fromV.IsNull() || forV.IsNull() {
-		return types.Null(types.KindStr), nil
-	}
-	s := v.StrVal()
-	fi, err := fromV.AsInt()
-	if err != nil {
-		return types.Value{}, err
-	}
-	li, err := forV.AsInt()
-	if err != nil {
-		return types.Value{}, err
-	}
-	from := int(fi) - 1
-	if from < 0 {
-		from = 0
-	}
-	if from > len(s) {
-		from = len(s)
-	}
-	to := from + int(li)
-	if to < from {
-		to = from
-	}
-	if to > len(s) {
-		to = len(s)
-	}
-	return types.Str(s[from:to]), nil
-}
-
-// likeScalar matches the same greedy algorithm as the gdk Like kernel.
-func likeScalar(s, pattern string) bool {
-	sr, pr := []rune(s), []rune(pattern)
-	var si, pi int
-	star, mark := -1, 0
-	for si < len(sr) {
-		switch {
-		case pi < len(pr) && (pr[pi] == '_' || pr[pi] == sr[si]):
-			si++
-			pi++
-		case pi < len(pr) && pr[pi] == '%':
-			star = pi
-			mark = si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
-		default:
-			return false
-		}
-	}
-	for pi < len(pr) && pr[pi] == '%' {
-		pi++
-	}
-	return pi == len(pr)
-}
+import "repro/internal/types"
 
 // isConstTree reports whether the expression references no columns and no
 // arrays (safe to fold at bind time).

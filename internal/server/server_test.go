@@ -336,3 +336,27 @@ func TestCloseWithIdleTextClient(t *testing.T) {
 		t.Fatal("Server.Close blocked on an idle text connection")
 	}
 }
+
+// TestOversizedArrayOverServer sends CREATE ARRAY shapes past the cell
+// limit over the wire: each must come back as an engine error and the
+// server must keep answering.
+func TestOversizedArrayOverServer(t *testing.T) {
+	_, c := startServer(t, Config{})
+	for _, q := range []string{
+		`CREATE ARRAY big2 (x INT DIMENSION[0:1:4294967296], y INT DIMENSION[0:1:4294967296], v INT DEFAULT 0)`,
+		`CREATE ARRAY big1 (x INT DIMENSION[0:1:9223372036854775807], v INT DEFAULT 0)`,
+	} {
+		_, err := c.Query(q)
+		if err == nil || strings.Contains(err.Error(), "internal error") ||
+			!strings.Contains(err.Error(), "cells") {
+			t.Errorf("%s: got %v, want a clean cell-limit error", q, err)
+		}
+	}
+	r, err := c.Query(`SELECT 40 + 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := r.Rows[0][0].(float64); !ok || v != 42 {
+		t.Fatalf("SELECT 40 + 2 = %v after the rejected DDL", r.Rows[0][0])
+	}
+}

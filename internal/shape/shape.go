@@ -3,7 +3,10 @@
 // coordinates and flat cell positions (the OIDs of the per-array BATs).
 package shape
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Dim is one array dimension: the arithmetic sequence
 // start, start+step, ..., last value strictly below stop (for step > 0).
@@ -15,22 +18,26 @@ type Dim struct {
 	Stop  int64
 }
 
+// MaxCells bounds the cell count of any array shape. A larger shape is
+// rejected when it is declared, altered, grown, loaded or replayed from
+// the log, instead of driving an allocation the process cannot survive.
+const MaxCells = 1 << 31
+
 // N returns the number of valid coordinate values of the dimension.
 func (d Dim) N() int {
-	if d.Step == 0 {
-		return 0
+	return int(min(d.extent(), math.MaxInt))
+}
+
+// extent counts the coordinate values in unsigned arithmetic, so ranges
+// spanning most of the int64 domain cannot overflow.
+func (d Dim) extent() uint64 {
+	switch {
+	case d.Step > 0 && d.Stop > d.Start:
+		return (uint64(d.Stop)-uint64(d.Start)-1)/uint64(d.Step) + 1
+	case d.Step < 0 && d.Stop < d.Start:
+		return (uint64(d.Start)-uint64(d.Stop)-1)/-uint64(d.Step) + 1
 	}
-	if d.Step > 0 {
-		if d.Stop <= d.Start {
-			return 0
-		}
-		return int((d.Stop - d.Start + d.Step - 1) / d.Step)
-	}
-	if d.Stop >= d.Start {
-		return 0
-	}
-	neg := -d.Step
-	return int((d.Start - d.Stop + neg - 1) / neg)
+	return 0
 }
 
 // Contains reports whether v is a valid coordinate of the dimension.
@@ -69,6 +76,24 @@ func (d Dim) String() string {
 // matrix(x, y) the x BAT repeats each value 4 times and the y BAT cycles
 // 0..3 four times).
 type Shape []Dim
+
+// Check rejects a shape that cannot be materialised: a zero step, or a
+// dimension extent or cell count beyond MaxCells. The product is
+// overflow-checked.
+func (s Shape) Check() error {
+	cells := uint64(1)
+	for _, d := range s {
+		if d.Step == 0 {
+			return fmt.Errorf("dimension %q: step must be non-zero", d.Name)
+		}
+		n := d.extent()
+		if n > MaxCells || (n > 0 && cells > MaxCells/n) {
+			return fmt.Errorf("dimension %q: array would exceed %d cells", d.Name, MaxCells)
+		}
+		cells *= n
+	}
+	return nil
+}
 
 // Cells returns the total number of cells.
 func (s Shape) Cells() int {

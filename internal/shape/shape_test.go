@@ -199,3 +199,56 @@ func TestDimString(t *testing.T) {
 		t.Errorf("String = %q", d.String())
 	}
 }
+
+func TestDimNNoOverflow(t *testing.T) {
+	const maxI, minI = int64(1<<63 - 1), int64(-1 << 63)
+	cases := []struct {
+		d    Dim
+		want uint64
+	}{
+		{Dim{Start: 0, Step: 1, Stop: maxI}, 1<<63 - 1},
+		{Dim{Start: -5, Step: 1, Stop: maxI}, 1<<63 + 4},
+		{Dim{Start: minI, Step: 1, Stop: maxI}, 1<<64 - 1},
+		{Dim{Start: maxI, Step: -1, Stop: minI}, 1<<64 - 1},
+		{Dim{Start: 0, Step: minI, Stop: minI}, 1},
+		{Dim{Start: minI, Step: maxI, Stop: maxI}, 3},
+	}
+	for _, c := range cases {
+		if got := c.d.extent(); got != c.want {
+			t.Errorf("%v.extent() = %d, want %d", c.d, got, c.want)
+		}
+		if got := c.d.N(); got < 0 {
+			t.Errorf("%v.N() = %d, must not wrap negative", c.d, got)
+		}
+	}
+}
+
+func TestShapeCheck(t *testing.T) {
+	const maxI = int64(1<<63 - 1)
+	ok := []Shape{
+		{{Name: "x", Start: 0, Step: 1, Stop: 4}, {Name: "y", Start: 0, Step: 1, Stop: 4}},
+		{{Name: "x", Start: 0, Step: 1, Stop: MaxCells}},
+		{{Name: "x", Start: 0, Step: 1, Stop: 1 << 16}, {Name: "y", Start: 0, Step: 1, Stop: 1 << 15}},
+		{{Name: "x", Start: 5, Step: 1, Stop: 0}, {Name: "y", Start: 0, Step: 1, Stop: 1 << 20}},
+	}
+	for _, sh := range ok {
+		if err := sh.Check(); err != nil {
+			t.Errorf("%v: unexpected error %v", sh, err)
+		}
+	}
+	bad := []Shape{
+		{{Name: "x", Start: 0, Step: 0, Stop: 4}},
+		{{Name: "x", Start: 0, Step: 1, Stop: MaxCells + 1}},
+		{{Name: "x", Start: 0, Step: 1, Stop: maxI}},
+		// 2^32 x 2^32 wraps an int64 product to zero.
+		{{Name: "x", Start: 0, Step: 1, Stop: 1 << 32}, {Name: "y", Start: 0, Step: 1, Stop: 1 << 32}},
+		{{Name: "x", Start: 0, Step: 1, Stop: 1 << 16}, {Name: "y", Start: 0, Step: 1, Stop: 1<<15 + 1}},
+		// An empty dimension does not excuse an oversized one.
+		{{Name: "x", Start: 5, Step: 1, Stop: 0}, {Name: "y", Start: 0, Step: 1, Stop: maxI}},
+	}
+	for _, sh := range bad {
+		if err := sh.Check(); err == nil {
+			t.Errorf("%v: accepted", sh)
+		}
+	}
+}
