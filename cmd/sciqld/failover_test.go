@@ -197,8 +197,8 @@ func TestFailoverSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i].Rendered != want[i].Rendered {
-			t.Fatalf("promoted result %d diverges:\n%s\nwant:\n%s", i, got[i].Rendered, want[i].Rendered)
+		if got[i].String() != want[i].String() {
+			t.Fatalf("promoted result %d diverges:\n%s\nwant:\n%s", i, got[i].String(), want[i].String())
 		}
 	}
 
@@ -246,7 +246,7 @@ func TestFailoverSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.Rendered, fmt.Sprint(acked)) {
-		t.Fatalf("reopened store lost commits: want count %d in\n%s", acked, r.Rendered)
+	if !strings.Contains(r.String(), fmt.Sprint(acked)) {
+		t.Fatalf("reopened store lost commits: want count %d in\n%s", acked, r.String())
 	}
 }

@@ -37,7 +37,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("> %s\n%s\n", q, r.Rendered)
+		fmt.Printf("> %s\n%s\n", q, r.String())
 	}
 
 	// Transactions live on named server-side sessions.
@@ -49,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("> after rollback SUM(v):\n%s\n", r.Rendered)
+	fmt.Printf("> after rollback SUM(v):\n%s\n", r.String())
 
 	h, err := c.Health()
 	if err != nil {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/bat"
 	"repro/internal/gdk"
 	"repro/internal/mal"
+	"repro/internal/render"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -212,54 +214,110 @@ func (r *Result) String() string {
 	if r.Text != "" {
 		return r.Text
 	}
-	var sb strings.Builder
-	widths := make([]int, len(r.Names))
-	rows := r.NumRows()
-	cells := make([][]string, rows)
-	for i := range widths {
-		name := r.Names[i]
-		if i < len(r.Dims) && r.Dims[i] {
-			name = "[" + name + "]"
-		}
-		widths[i] = len(name)
-	}
-	for i := 0; i < rows; i++ {
-		cells[i] = make([]string, len(r.Cols))
-		for c := range r.Cols {
-			s := r.Cols[c].Get(i).String()
-			cells[i][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
+	return string(render.Table(nil, r.Names, r.Dims, r.NumRows(), r.fillColumn))
+}
+
+// textFormat writes cells as types.Value.String does.
+var textFormat = CellFormat{
+	Float: types.AppendFloat,
+	Str:   func(dst []byte, s string) []byte { return append(dst, s...) },
+}
+
+// fillColumn formats every cell of column c for the text table.
+func (r *Result) fillColumn(c int, cells *render.Cells) {
+	cr := r.Reader(c)
+	for s := 0; s < cr.NumSlabs(); s++ {
+		for i, n := 0, cr.Load(s); i < n; i++ {
+			cells.Buf = cr.AppendCell(cells.Buf, i, textFormat)
+			cells.End()
 		}
 	}
-	for c, name := range r.Names {
-		if c > 0 {
-			sb.WriteString(" | ")
+}
+
+// ColumnReader reads one result column slab by slab as typed values,
+// with no types.Value per cell. Result.String and sciqld's wire encoder
+// both read through it.
+//
+// A result's columns share storage with the table or snapshot they came
+// from. Plain slabs are borrowed from that storage; encoded slabs decode
+// into the reader's own buffers, and a borrowed slab never becomes one,
+// so decoding a slab cannot write over another slab's stored values.
+type ColumnReader struct {
+	col   *bat.BAT
+	kind  types.Kind
+	nulls bool
+	start int // column row of the loaded slab's first row
+
+	ints   []int64
+	floats []float64
+	bools  []bool
+	strs   []string
+
+	intBuf   []int64
+	floatBuf []float64
+	strBuf   []string
+}
+
+// CellFormat says how AppendCell writes floats and strings, whose text
+// depends on the output. NULL is always null, and ints and bools are
+// written as strconv writes them.
+type CellFormat struct {
+	Float func(dst []byte, f float64) []byte
+	Str   func(dst []byte, s string) []byte
+}
+
+// Reader returns a reader over column c.
+func (r *Result) Reader(c int) ColumnReader {
+	col := r.Cols[c]
+	return ColumnReader{col: col, kind: col.Kind(), nulls: col.HasNulls()}
+}
+
+// NumSlabs returns the number of slabs in the column. Every column of a
+// result has the same length, so slab s covers the same rows in each.
+func (cr *ColumnReader) NumSlabs() int { return cr.col.NumSlabs() }
+
+// Load makes slab s the current one and returns its number of rows.
+func (cr *ColumnReader) Load(s int) int {
+	v := cr.col.Slab(s)
+	cr.start = v.Start()
+	// Void slabs materialise into the buffer; plain slabs are borrowed.
+	decoded := v.Enc() != bat.EncPlain || cr.kind == types.KindVoid
+	switch cr.kind {
+	case types.KindFloat:
+		cr.floats = v.Floats(cr.floatBuf)
+		if decoded {
+			cr.floatBuf = cr.floats
 		}
-		if c < len(r.Dims) && r.Dims[c] {
-			name = "[" + name + "]"
+	case types.KindBool:
+		cr.bools = v.Bools()
+	case types.KindStr:
+		cr.strs = v.Strs(cr.strBuf)
+		if decoded {
+			cr.strBuf = cr.strs
 		}
-		fmt.Fprintf(&sb, "%-*s", widths[c], name)
+	default: // void, oid, int
+		cr.ints = v.Ints(cr.intBuf)
+		if decoded {
+			cr.intBuf = cr.ints
+		}
 	}
-	sb.WriteString("\n")
-	for c := range r.Names {
-		if c > 0 {
-			sb.WriteString("-+-")
-		}
-		sb.WriteString(strings.Repeat("-", widths[c]))
+	return v.Len()
+}
+
+// AppendCell appends the text of row i of the current slab.
+func (cr *ColumnReader) AppendCell(dst []byte, i int, f CellFormat) []byte {
+	switch {
+	case cr.nulls && cr.col.IsNull(cr.start+i):
+		return append(dst, "null"...)
+	case cr.kind == types.KindFloat:
+		return f.Float(dst, cr.floats[i])
+	case cr.kind == types.KindBool:
+		return strconv.AppendBool(dst, cr.bools[i])
+	case cr.kind == types.KindStr:
+		return f.Str(dst, cr.strs[i])
+	default:
+		return strconv.AppendInt(dst, cr.ints[i], 10)
 	}
-	sb.WriteString("\n")
-	for i := 0; i < rows; i++ {
-		for c := range r.Cols {
-			if c > 0 {
-				sb.WriteString(" | ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[c], cells[i][c])
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 // Grid renders a 2-D single-attribute array result as a coordinate grid

@@ -133,8 +133,8 @@ func TestTailerEndToEnd(t *testing.T) {
 		t.Fatalf("read on replica: %v", err)
 	}
 	for i := range want {
-		if got[i].Rendered != want[i].Rendered {
-			t.Fatalf("replica result %d diverges:\n%s\nwant:\n%s", i, got[i].Rendered, want[i].Rendered)
+		if got[i].String() != want[i].String() {
+			t.Fatalf("replica result %d diverges:\n%s\nwant:\n%s", i, got[i].String(), want[i].String())
 		}
 	}
 

@@ -14,14 +14,25 @@ import (
 	"time"
 )
 
-// Result is one statement result as received from the server.
+// Result is one statement result as received from the server. String
+// renders it exactly as the embedded engine renders its result.
 type Result struct {
-	Names    []string `json:"names,omitempty"`
-	Kinds    []string `json:"kinds,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	Text     string   `json:"text,omitempty"`
-	Rendered string   `json:"rendered"`
+	// Names and Kinds describe the columns; a kind is "lng", "oid",
+	// "dbl", "bit", "str" or "void" (a column of NULLs).
+	Names []string `json:"names,omitempty"`
+	Kinds []string `json:"kinds,omitempty"`
+	// Dims marks the dimension columns of an array result; it is nil
+	// when there are none.
+	Dims []bool `json:"dims,omitempty"`
+	// Rows holds the cells row by row: nil for NULL, bool, string or
+	// float64, as encoding/json would decode them, with two exceptions.
+	// An INT/OID cell that no float64 holds exactly (beyond ±2^53, such
+	// as math.MaxInt64) is an int64, so integers always arrive exact. A
+	// non-finite FLOAT cell, which the server sends as the string "+Inf",
+	// "-Inf" or "NaN", is that float64.
+	Rows     [][]any `json:"rows,omitempty"`
+	Affected int     `json:"affected,omitempty"`
+	Text     string  `json:"text,omitempty"`
 }
 
 // Health is the healthz report. Status is "ok", "degraded" (engine is
@@ -95,10 +106,8 @@ type queryRequest struct {
 	Session string `json:"session,omitempty"`
 }
 
-type queryResponse struct {
-	Results []Result `json:"results,omitempty"`
-	Error   string   `json:"error,omitempty"`
-}
+// maxResponse bounds the /query body the client accepts.
+var maxResponse int64 = 64 << 20
 
 // Exec runs a semicolon-separated batch, returning one result per
 // completed statement. A statement error is returned alongside the
@@ -132,17 +141,41 @@ func (c *Client) exec1(query string) ([]Result, int, error) {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	var qr queryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&qr); err != nil {
+	data, err := readBody(resp)
+	if err != nil {
 		return nil, resp.StatusCode, fmt.Errorf("bad server response (HTTP %d): %v", resp.StatusCode, err)
 	}
-	if qr.Error != "" {
-		return qr.Results, resp.StatusCode, fmt.Errorf("%s", qr.Error)
+	results, msg, err := decodeResponse(data)
+	if err != nil {
+		return nil, resp.StatusCode, fmt.Errorf("bad server response (HTTP %d): %v", resp.StatusCode, err)
+	}
+	if msg != "" {
+		return results, resp.StatusCode, fmt.Errorf("%s", msg)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return qr.Results, resp.StatusCode, fmt.Errorf("HTTP %d", resp.StatusCode)
+		return results, resp.StatusCode, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	return qr.Results, resp.StatusCode, nil
+	return results, resp.StatusCode, nil
+}
+
+// readBody reads a response body of at most maxResponse bytes into a
+// buffer sized from Content-Length when the server sent one. A longer
+// body is an error, never a truncated answer.
+func readBody(resp *http.Response) ([]byte, error) {
+	tooLarge := func() error { return fmt.Errorf("response exceeds the client's limit of %d bytes", maxResponse) }
+	if resp.ContentLength > maxResponse {
+		return nil, tooLarge()
+	}
+	if resp.ContentLength >= 0 {
+		data := make([]byte, resp.ContentLength)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse+1))
+	if int64(len(data)) > maxResponse {
+		return nil, tooLarge()
+	}
+	return data, err
 }
 
 // retriableFailure reports whether a failed attempt is safe and useful

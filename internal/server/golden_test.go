@@ -105,7 +105,7 @@ func TestGoldenOverServer(t *testing.T) {
 				results, err := c.Exec(stmt)
 				var sb strings.Builder
 				for _, r := range results {
-					sb.WriteString(r.Rendered)
+					sb.WriteString(r.String())
 				}
 				return sb.String(), err
 			})

@@ -47,8 +47,8 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if r.Rows[0][1] != "y" {
 		t.Fatalf("row[0][1] = %v, want y", r.Rows[0][1])
 	}
-	if !strings.Contains(r.Rendered, "a | b") {
-		t.Fatalf("rendered missing header: %q", r.Rendered)
+	if !strings.Contains(r.String(), "a | b") {
+		t.Fatalf("rendered missing header: %q", r.String())
 	}
 
 	// Statement errors come back as engine errors, not transport failures.

@@ -382,6 +382,11 @@ func FormatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
+// AppendFloat appends FormatFloat(f) to dst.
+func AppendFloat(dst []byte, f float64) []byte {
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
 // CommonKind returns the kind both operands should be promoted to for
 // arithmetic or comparison, or an error when incompatible.
 func CommonKind(a, b Kind) (Kind, error) {
