@@ -2,8 +2,10 @@ package gdk
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bat"
+	"repro/internal/par"
 	"repro/internal/shape"
 	"repro/internal/types"
 )
@@ -29,6 +31,9 @@ func DimBATs(sh shape.Shape) ([]*bat.BAT, error) {
 // order and one coordinate column per dimension, it returns, for each row,
 // the attribute value at the addressed cell. Coordinates that fall outside
 // the array ranges (or off-step, or NULL) yield NULL.
+//
+// The attribute is decoded once and gathered into a typed output slice,
+// morsel-parallel; a NULL bitmap is built only when some row yields NULL.
 func CellFetch(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, error) {
 	if len(coords) != len(sh) {
 		return nil, fmt.Errorf("gdk: cellfetch needs %d coordinate columns, got %d", len(sh), len(coords))
@@ -40,44 +45,114 @@ func CellFetch(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) (*bat.BAT, erro
 	if len(coords) > 0 {
 		n = coords[0].Len()
 	}
-	coordInts := make([][]int64, len(coords))
+	a := cellAddr{dims: make([]cellDim, len(sh)), cells: attr.NullMask()}
 	for k, c := range coords {
 		if c.Len() != n {
 			return nil, fmt.Errorf("gdk: cellfetch coordinates not aligned")
 		}
+		d := &a.dims[k]
 		switch c.Kind() {
 		case types.KindInt, types.KindOID:
-			coordInts[k] = c.DecodedInts()
+			d.vals = c.DecodedInts()
 		case types.KindVoid:
-			coordInts[k] = c.Materialize().DecodedInts()
+			d.vals = c.Materialize().DecodedInts()
 		default:
 			return nil, fmt.Errorf("gdk: cellfetch coordinate %d must be integer, got %s", k, c.Kind())
 		}
+		d.nulls = c.NullMask()
+		d.start, d.step, d.n = sh[k].Start, sh[k].Step, int64(sh[k].N())
 	}
-	out := bat.New(attr.ValueKind(), n)
-	pos := make([]int64, len(sh))
-	for i := 0; i < n; i++ {
-		null := false
-		for k := range coords {
-			if coords[k].IsNull(i) {
-				null = true
-				break
+	switch attr.Kind() {
+	case types.KindInt, types.KindOID:
+		vals, mask, err := gatherCells(attr.DecodedInts(), &a, n)
+		return cellResult(bat.FromIntsOfKind(vals, attr.Kind()), mask, attr, err)
+	case types.KindVoid:
+		vals, mask, err := gatherCells(attr.Materialize().DecodedInts(), &a, n)
+		return cellResult(bat.FromIntsOfKind(vals, types.KindOID), mask, attr, err)
+	case types.KindFloat:
+		vals, mask, err := gatherCells(attr.DecodedFloats(), &a, n)
+		return cellResult(bat.FromFloats(vals), mask, attr, err)
+	case types.KindBool:
+		vals, mask, err := gatherCells(attr.DecodedBools(), &a, n)
+		return cellResult(bat.FromBools(vals), mask, attr, err)
+	default:
+		vals, mask, err := gatherCells(attr.DecodedStrs(), &a, n)
+		return cellResult(bat.FromStrings(vals), mask, attr, err)
+	}
+}
+
+// cellDim is one dimension of a cell address: the coordinate column and
+// the dimension's grid.
+type cellDim struct {
+	vals        []int64
+	nulls       *bat.Bitmap
+	start, step int64
+	n           int64 // extent
+}
+
+// cellAddr maps rows of coordinate columns to flat cell positions.
+type cellAddr struct {
+	dims  []cellDim
+	cells *bat.Bitmap // NULL cells of the attribute
+}
+
+// pos returns the flat position of row i's cell, with ok false when a
+// coordinate is NULL, off-step or out of range. It applies shape.Pos's
+// arithmetic to the precomputed grids; only a non-unit step divides.
+func (a *cellAddr) pos(i int) (int, bool) {
+	p := int64(0)
+	for k := range a.dims {
+		d := &a.dims[k]
+		if d.nulls.Get(i) {
+			return 0, false
+		}
+		off := d.vals[i] - d.start
+		if d.step != 1 {
+			if d.step == 0 || off%d.step != 0 {
+				return 0, false
 			}
-			pos[k] = coordInts[k][i]
+			off /= d.step
 		}
-		if null {
-			out.AppendNull()
-			continue
+		if off < 0 || off >= d.n {
+			return 0, false
 		}
-		p, ok := sh.Pos(pos)
-		if !ok || attr.IsNull(p) {
-			out.AppendNull()
-			continue
-		}
-		if err := out.Append(attr.Get(p)); err != nil {
-			return nil, err
-		}
+		p = p*d.n + off
 	}
+	return int(p), true
+}
+
+// gatherCells fetches the addressed cell of every row i < n from src. The
+// NULL bitmap is allocated by the first row that needs it; morsels are
+// 64-row aligned, so concurrent workers set bits in disjoint words.
+func gatherCells[T any](src []T, a *cellAddr, n int) ([]T, *bat.Bitmap, error) {
+	dst := make([]T, n)
+	var (
+		mask     *bat.Bitmap
+		maskOnce sync.Once
+	)
+	err := par.DoErr(n, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			p, ok := a.pos(i)
+			if !ok || a.cells.Get(p) {
+				maskOnce.Do(func() { mask = bat.NewBitmap(n) })
+				mask.Set(i, true)
+				continue
+			}
+			dst[i] = src[p]
+		}
+		return nil
+	})
+	return dst, mask, err
+}
+
+// cellResult finishes a gathered column; its values are a subset of the
+// attribute's, so the attribute's bounds hold for it.
+func cellResult(out *bat.BAT, mask *bat.Bitmap, attr *bat.BAT, err error) (*bat.BAT, error) {
+	if err != nil {
+		return nil, err
+	}
+	out.SetNullMask(mask)
+	out.CopyBoundsFrom(attr)
 	return out, nil
 }
 

@@ -54,138 +54,191 @@ func TileAggSAT(agg AggKind, attr *bat.BAT, sh shape.Shape, tile []TileRange) (*
 		}
 	}
 
-	useFloat := attr.ValueKind() == types.KindFloat
-	var fvals []float64
-	var ivals []int64
+	st := satTile{dims: dims, lo: lo, hi: hi, strides: sh.Strides()}
+	nulls := attr.NullMask()
+	if attr.HasNulls() {
+		// Non-NULL counts need their own prefix table; without NULLs a
+		// box's count is its clipped area.
+		st.pcount = prefixTable[int64](nil, cells, nulls, dims, st.strides)
+	}
+	counts := make([]int64, cells)
+	if agg == AggCount || agg == AggCountAll {
+		return finishAccumulate(agg, nil, nil, boxes[int64](&st, counts, nil, nil))
+	}
 	switch attr.ValueKind() {
 	case types.KindFloat:
-		fvals = attr.DecodedFloats()
+		psum := prefixTable(attr.DecodedFloats(), cells, nulls, dims, st.strides)
+		sums := make([]float64, cells)
+		return finishAccumulate(agg, nil, sums, boxes(&st, counts, psum, sums))
 	case types.KindInt, types.KindOID:
+		var vals []int64
 		if attr.Kind() == types.KindVoid {
-			ivals = attr.Materialize().DecodedInts()
+			vals = attr.Materialize().DecodedInts()
 		} else {
-			ivals = attr.DecodedInts()
+			vals = attr.DecodedInts()
 		}
+		psum := prefixTable(vals, cells, nulls, dims, st.strides)
+		sums := make([]int64, cells)
+		return finishAccumulate(agg, sums, nil, boxes(&st, counts, psum, sums))
 	default:
-		if agg != AggCount && agg != AggCountAll {
-			return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
-		}
+		return nil, fmt.Errorf("gdk: SAT tiling aggregate %s not defined on %s", agg, attr.ValueKind())
 	}
+}
 
-	// Build prefix tables: psumI/psumF for values (nulls contribute 0) and
-	// pcount for non-null cells. The prefix runs one dimension at a time.
-	var psumF []float64
-	var psumI []int64
-	pcount := make([]int64, cells)
-	if useFloat {
-		psumF = make([]float64, cells)
-	} else if ivals != nil {
-		psumI = make([]int64, cells)
-	}
-	par.Do(cells, func(from, to int) {
-		for p := from; p < to; p++ {
-			if !attr.IsNull(p) {
-				pcount[p] = 1
-				if useFloat {
-					psumF[p] = fvals[p]
-				} else if ivals != nil {
-					psumI[p] = ivals[p]
+// prefixTable builds the d-dimensional summed-area table of n cells: it
+// starts from src (all ones when src is nil, for counting) with NULL
+// cells zeroed, and sums one dimension at a time. Along a dimension of
+// stride s and extent m, the cells form blocks of m*s, and within a block
+// every row of s cells adds onto the next: contiguous loops, no coordinate
+// decoding. The additions run in one fixed order, so float tables do not
+// depend on scheduling.
+func prefixTable[T int64 | float64](src []T, n int, nulls *bat.Bitmap, dims, strides []int) []T {
+	t := make([]T, n)
+	par.Do(n, func(lo, hi int) {
+		if src != nil {
+			copy(t[lo:hi], src[lo:hi])
+		} else {
+			for p := lo; p < hi; p++ {
+				t[p] = 1
+			}
+		}
+		if nulls != nil {
+			for p := lo; p < hi; p++ {
+				if nulls.Get(p) {
+					t[p] = 0
 				}
 			}
 		}
 	})
-	strides := make([]int, k)
-	acc := 1
-	for d := k - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= dims[d]
-	}
-	for d := 0; d < k; d++ {
-		// prefix along dimension d: P[i] += P[i - stride_d] for i_d > 0.
-		stride := strides[d]
-		for p := 0; p < cells; p++ {
-			id := (p / stride) % dims[d]
-			if id == 0 {
-				continue
-			}
-			pcount[p] += pcount[p-stride]
-			if useFloat {
-				psumF[p] += psumF[p-stride]
-			} else if psumI != nil {
-				psumI[p] += psumI[p-stride]
+	for d, s := range strides {
+		block := s * dims[d]
+		for b := 0; b < len(t); b += block {
+			row := t[b : b+block]
+			for j := s; j < block; j++ {
+				row[j] += row[j-s]
 			}
 		}
 	}
+	return t
+}
 
-	// Box queries: every output cell evaluates the inclusion-exclusion sum
-	// of the prefix table at the clipped box around its coordinates. Cells
-	// are independent, so they run morsel-parallel on the shared pool, each
-	// chunk with its own coordinate scratch.
-	counts := make([]int64, cells)
-	var sumsF []float64
-	var sumsI []int64
-	if useFloat {
-		sumsF = make([]float64, cells)
-	} else if psumI != nil {
-		sumsI = make([]int64, cells)
+// satTile answers the box queries of one tile over prefix tables. The box
+// of the cell at index i_d spans [i_d+lo_d, i_d+hi_d] per dimension,
+// clipped to the array.
+type satTile struct {
+	dims, lo, hi, strides []int
+	pcount                []int64 // prefix of non-NULL counts; nil when the attribute has no NULLs
+}
+
+// boxes writes every cell's non-NULL count into counts and, when psum is
+// non-nil, its box sum into sums, and returns counts. Cells run
+// morsel-parallel. The work goes one innermost-dimension row at a time:
+// the outer dimensions are clipped and the 2^(d-1) outer corner offsets
+// computed once per row, then each cell of the row reads its two inner
+// ends per corner. Every cell combines its corners in the same order
+// whatever the chunking, so float sums do not depend on it.
+func boxes[T int64 | float64](st *satTile, counts []int64, psum, sums []T) []int64 {
+	last := len(st.dims) - 1
+	nl, loL, hiL := st.dims[last], st.lo[last], st.hi[last]
+	outer := 1 << last
+	if len(counts) == 0 {
+		return counts
 	}
-	par.Do(cells, func(from, to int) {
-		idx := make([]int, k)
-		loC := make([]int, k)
-		hiC := make([]int, k)
-		corner := make([]int, k)
-	cellLoop:
-		for p := from; p < to; p++ {
-			// Decompose the flat position into per-dimension coordinates and
-			// clip the box; empty boxes contribute nothing.
-			for dd := 0; dd < k; dd++ {
-				idx[dd] = (p / strides[dd]) % dims[dd]
-				loC[dd] = idx[dd] + lo[dd]
-				hiC[dd] = idx[dd] + hi[dd]
-				if loC[dd] < 0 {
-					loC[dd] = 0
+	// Per-chunk scratch, carved from one allocation: the outer index,
+	// and the offset and sign of each outer corner.
+	plan := par.NewPlan(len(counts))
+	per := last + 2*outer
+	scratch := make([]int, plan.Chunks()*per)
+	plan.Run(func(c, from, to int) {
+		sc := scratch[c*per : (c+1)*per]
+		idx, bases, signs := sc[:last], sc[last:last+outer], sc[last+outer:]
+		// Decompose the chunk's first position once; rows then advance
+		// the outer index like an odometer.
+		r := from / nl
+		j := from - r*nl
+		for d := last - 1; d >= 0; d-- {
+			idx[d] = r % st.dims[d]
+			r /= st.dims[d]
+		}
+		for p := from; p < to; {
+			end := min(to, p-j+nl)
+			nc, area := st.rowCorners(idx, bases, signs)
+			for ; p < end; p, j = p+1, j+1 {
+				a, b := max(j+loL, 0), min(j+hiL, nl-1)
+				if nc == 0 || a > b {
+					continue // empty box: count 0, sum 0
 				}
-				if hiC[dd] > dims[dd]-1 {
-					hiC[dd] = dims[dd] - 1
+				if st.pcount == nil {
+					counts[p] = area * int64(b-a+1)
+				} else {
+					counts[p] = cornerSum(st.pcount, bases[:nc], signs[:nc], a, b)
 				}
-				if loC[dd] > hiC[dd] {
-					continue cellLoop
+				if psum != nil {
+					sums[p] = cornerSum(psum, bases[:nc], signs[:nc], a, b)
 				}
 			}
-			// Inclusion-exclusion over 2^k corners.
-			for mask := 0; mask < (1 << k); mask++ {
-				sign := int64(1)
-				valid := true
-				for dd := 0; dd < k; dd++ {
-					if mask&(1<<dd) != 0 {
-						corner[dd] = loC[dd] - 1
-						sign = -sign
-						if corner[dd] < 0 {
-							valid = false
-							break
-						}
-					} else {
-						corner[dd] = hiC[dd]
-					}
+			j = 0
+			for d := last - 1; d >= 0; d-- {
+				if idx[d]++; idx[d] < st.dims[d] {
+					break
 				}
-				if !valid {
-					continue
-				}
-				q := 0
-				for dd := 0; dd < k; dd++ {
-					q += corner[dd] * strides[dd]
-				}
-				counts[p] += sign * pcount[q]
-				if useFloat {
-					sumsF[p] += float64(sign) * psumF[q]
-				} else if sumsI != nil {
-					sumsI[p] += sign * psumI[q]
-				}
+				idx[d] = 0
 			}
 		}
 	})
+	return counts
+}
 
-	return finishAccumulate(agg, sumsI, sumsF, counts)
+// rowCorners computes the outer corners of the row at outer index idx: the
+// flat offset of each valid corner's row start in bases and its sign (+1
+// or -1) in signs. It returns the number of corners (0 when the box is
+// empty along an outer dimension) and the clipped outer area.
+func (st *satTile) rowCorners(idx, bases, signs []int) (int, int64) {
+	nc := 1
+	bases[0], signs[0] = 0, 1
+	area := int64(1)
+	for d := range idx {
+		a := max(idx[d]+st.lo[d], 0)
+		b := min(idx[d]+st.hi[d], st.dims[d]-1)
+		if a > b {
+			return 0, 0
+		}
+		area *= int64(b - a + 1)
+		// Every corner so far takes the box's high end along d; those
+		// with a low end inside the array also get a copy at a-1 with the
+		// sign flipped.
+		add := 0
+		if a > 0 {
+			for c := 0; c < nc; c++ {
+				bases[nc+c] = bases[c] + (a-1)*st.strides[d]
+				signs[nc+c] = -signs[c]
+			}
+			add = nc
+		}
+		for c := 0; c < nc; c++ {
+			bases[c] += b * st.strides[d]
+		}
+		nc += add
+	}
+	return nc, area
+}
+
+// cornerSum evaluates the inclusion-exclusion sum of one cell whose inner
+// box is [a, b]: per outer corner, the prefix at b minus the prefix at a-1.
+func cornerSum[T int64 | float64](t []T, bases, signs []int, a, b int) T {
+	var s T
+	for c, base := range bases {
+		v := t[base+b]
+		if a > 0 {
+			v -= t[base+a-1]
+		}
+		if signs[c] < 0 {
+			s -= v
+		} else {
+			s += v
+		}
+	}
+	return s
 }
 
 // SATProfitable is the heuristic the optimizer uses to pick the SAT kernel:

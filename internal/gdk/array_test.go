@@ -1,6 +1,7 @@
 package gdk
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -240,6 +241,143 @@ func TestCellFetchOffStep(t *testing.T) {
 	}
 	if got.Get(0).Int64() != 10 || !got.IsNull(1) || got.Get(2).Int64() != 20 || !got.IsNull(3) {
 		t.Errorf("off-step fetch wrong: %v %v %v %v", got.Get(0), got.IsNull(1), got.Get(2), got.IsNull(3))
+	}
+}
+
+// cellFetchOracle is the boxed cell fetch: shape.Pos per row and Get on
+// the attribute.
+func cellFetchOracle(attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) *bat.BAT {
+	n := coords[0].Len()
+	out := bat.New(attr.ValueKind(), n)
+	pos := make([]int64, len(sh))
+	for i := 0; i < n; i++ {
+		null := false
+		for k, c := range coords {
+			null = null || c.IsNull(i)
+			pos[k] = c.Get(i).Int64()
+		}
+		p, ok := sh.Pos(pos)
+		if null || !ok || attr.IsNull(p) {
+			out.AppendNull()
+			continue
+		}
+		if err := out.Append(attr.Get(p)); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// randCoords addresses n rows into sh: mostly valid cells, plus
+// off-step, out-of-range and NULL coordinates.
+func randCoords(rng *rand.Rand, sh shape.Shape, n int) []*bat.BAT {
+	coords := make([]*bat.BAT, len(sh))
+	for k, d := range sh {
+		vals := make([]int64, n)
+		c := bat.FromInts(vals)
+		for i := range vals {
+			vals[i] = d.Value(rng.Intn(d.N()))
+			switch rng.Intn(12) {
+			case 0:
+				vals[i]++ // off-step when |step| > 1
+			case 1:
+				vals[i] = d.Value(-1 - rng.Intn(3))
+			case 2:
+				vals[i] = d.Value(d.N() + rng.Intn(3))
+			case 3:
+				c.SetNull(i, true)
+			}
+		}
+		coords[k] = c
+	}
+	return coords
+}
+
+// randAttr fills every cell of an attribute of the given kind, about one
+// cell in six NULL.
+func randAttr(rng *rand.Rand, kind types.Kind, cells int) *bat.BAT {
+	var b *bat.BAT
+	switch kind {
+	case types.KindInt:
+		vals := make([]int64, cells)
+		for i := range vals {
+			vals[i] = rng.Int63n(1000) - 500
+		}
+		b = bat.FromInts(vals)
+	case types.KindFloat:
+		vals := make([]float64, cells)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		b = bat.FromFloats(vals)
+	case types.KindBool:
+		vals := make([]bool, cells)
+		for i := range vals {
+			vals[i] = rng.Intn(2) == 0
+		}
+		b = bat.FromBools(vals)
+	default:
+		vals := make([]string, cells)
+		for i := range vals {
+			vals[i] = string(rune('a' + rng.Intn(26)))
+		}
+		b = bat.FromStrings(vals)
+	}
+	for i := 0; i < cells; i++ {
+		if rng.Intn(6) == 0 {
+			b.SetNull(i, true)
+		}
+	}
+	return b
+}
+
+// TestCellFetchMatchesOracle checks CellFetch against the boxed oracle on
+// random 1-D to 3-D shapes (negative starts, steps 1, 2 and -2), every
+// value kind and encoded attributes, serially and in parallel.
+func TestCellFetchMatchesOracle(t *testing.T) {
+	const rows = 6000 // above the forced parallel cutoff of runBoth
+	check := func(label string, attr *bat.BAT, sh shape.Shape, coords []*bat.BAT) {
+		t.Helper()
+		want := cellFetchOracle(attr, sh, coords)
+		runBoth(t, func() *bat.BAT {
+			got, err := CellFetch(attr, sh, coords)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			return got
+		}, func(s, p *bat.BAT) {
+			batsEqual(t, label+" serial", want, s)
+			batsEqual(t, label+" parallel", want, p)
+		})
+	}
+	rng := rand.New(rand.NewSource(11))
+	steps := []int64{1, 2, -2}
+	for iter := 0; iter < 24; iter++ {
+		sh := make(shape.Shape, 1+iter%3)
+		for k := range sh {
+			step := steps[rng.Intn(len(steps))]
+			start := int64(rng.Intn(9) - 6)
+			n := 1 + rng.Intn(40/len(sh)+1)
+			sh[k] = shape.Dim{Name: fmt.Sprint("d", k), Start: start, Step: step, Stop: start + int64(n)*step}
+		}
+		coords := randCoords(rng, sh, rows)
+		for _, kind := range []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindStr} {
+			check(fmt.Sprintf("shape %v %s", sh, kind), randAttr(rng, kind, sh.Cells()), sh, coords)
+		}
+	}
+	// Encoded attributes over a 2-D array, one encoding per dataset.
+	sh := shape.Shape{{Name: "x", Start: -3, Step: 2, Stop: 125}, {Name: "y", Start: 0, Step: 1, Stop: 100}}
+	for _, c := range []struct {
+		ds   string
+		want bat.Encoding
+	}{{"runs", bat.EncRLE}, {"narrow", bat.EncFOR}, {"lowcard", bat.EncDict}} {
+		ds, want := c.ds, c.want
+		plain := addNulls(rng, encDataset(ds, rng, sh.Cells()))
+		enc := encTwin(t, plain, true)
+		if got := enc.SlabEncodings()[0]; got != want {
+			t.Fatalf("%s: attribute encoded as %s, want %s", ds, got, want)
+		}
+		check("encoded "+ds, enc, sh, randCoords(rng, sh, rows))
 	}
 }
 

@@ -1,7 +1,9 @@
 package gdk
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -551,39 +553,80 @@ func TestJoinProperty(t *testing.T) {
 
 // ---------------------------------------------------------------- group
 
-func TestGroupBasic(t *testing.T) {
-	col := bat.FromInts([]int64{5, 3, 5, 3, 7})
-	res, err := Group([]*bat.BAT{col}, nil)
+// groupIDs groups keys and returns the group ids, checking that N matches.
+func groupIDs(t *testing.T, label string, keys []*bat.BAT) []int64 {
+	t.Helper()
+	res, err := Group(keys, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", label, err)
 	}
-	if res.N != 3 {
-		t.Fatalf("groups = %d", res.N)
+	gids := make([]int64, res.GIDs.Len())
+	n := int64(0)
+	for i := range gids {
+		gids[i] = int64(res.GIDs.OidAt(i))
+		n = max(n, gids[i]+1)
 	}
-	// First-occurrence order: 5 → 0, 3 → 1, 7 → 2.
-	want := []int64{0, 1, 0, 1, 2}
-	for i, w := range want {
-		if int64(res.GIDs.OidAt(i)) != w {
-			t.Errorf("gid[%d] = %d, want %d", i, res.GIDs.OidAt(i), w)
+	if int64(res.N) != n {
+		t.Fatalf("%s: N = %d, ids reach %d", label, res.N, n)
+	}
+	return gids
+}
+
+func TestGroupBasic(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, c := range []struct {
+		name string
+		keys []*bat.BAT
+		want []int64 // first-occurrence order
+	}{
+		{"int", []*bat.BAT{bat.FromInts([]int64{5, 3, 5, 3, 7})}, []int64{0, 1, 0, 1, 2}},
+		{"int extremes", []*bat.BAT{bat.FromInts([]int64{math.MaxInt64, math.MinInt64, -1, math.MinInt64, math.MaxInt64})},
+			[]int64{0, 1, 2, 1, 0}},
+		// Every NaN is one group, and so are 0.0 and -0.0.
+		{"float", []*bat.BAT{bat.FromFloats([]float64{nan, 0, -nan, negZero, 1.5, nan * 2, negZero})},
+			[]int64{0, 1, 0, 1, 2, 0, 1}},
+		{"str", []*bat.BAT{bat.FromStrings([]string{"b", "a", "b", ""})}, []int64{0, 1, 0, 2}},
+		{"bool", []*bat.BAT{bat.FromBools([]bool{true, false, false, true})}, []int64{0, 1, 1, 0}},
+		{"pair", []*bat.BAT{bat.FromInts([]int64{1, 1, 2, 1}), bat.FromStrings([]string{"x", "y", "x", "x"})},
+			[]int64{0, 1, 2, 0}},
+		{"float pair", []*bat.BAT{bat.FromFloats([]float64{0, negZero, nan, -nan}), bat.FromInts([]int64{1, 1, 2, 2})},
+			[]int64{0, 0, 1, 1}},
+	} {
+		got := groupIDs(t, c.name, c.keys)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: gids %v, want %v", c.name, got, c.want)
 		}
 	}
 }
 
 func TestGroupNullsGroupTogether(t *testing.T) {
-	col := bat.New(types.KindInt, 4)
-	col.AppendNull()
-	col.AppendInt(1)
-	col.AppendNull()
-	col.AppendInt(1)
-	res, err := Group([]*bat.BAT{col}, nil)
-	if err != nil {
-		t.Fatal(err)
+	withNulls := func(b *bat.BAT, rows ...int) *bat.BAT {
+		for _, i := range rows {
+			b.SetNull(i, true)
+		}
+		return b
 	}
-	if res.N != 2 {
-		t.Errorf("groups = %d, want 2", res.N)
-	}
-	if res.GIDs.OidAt(0) != res.GIDs.OidAt(2) {
-		t.Error("nulls must share a group")
+	for _, c := range []struct {
+		name string
+		keys []*bat.BAT
+		want []int64
+	}{
+		{"int", []*bat.BAT{withNulls(bat.FromInts([]int64{0, 1, 0, 1}), 0, 2)}, []int64{0, 1, 0, 1}},
+		// A NULL row's stored value must not leak into its group.
+		{"int zero", []*bat.BAT{withNulls(bat.FromInts([]int64{0, 0, 0}), 1)}, []int64{0, 1, 0}},
+		{"float", []*bat.BAT{withNulls(bat.FromFloats([]float64{0, 0, math.NaN()}), 0)}, []int64{0, 1, 2}},
+		{"str", []*bat.BAT{withNulls(bat.FromStrings([]string{"", "", "a"}), 1)}, []int64{0, 1, 2}},
+		{"bool", []*bat.BAT{withNulls(bat.FromBools([]bool{false, false, true, false}), 1, 3)}, []int64{0, 1, 2, 1}},
+		// (NULL, 1), (1, NULL) and (NULL, NULL) are three groups.
+		{"pair", []*bat.BAT{
+			withNulls(bat.FromInts([]int64{0, 1, 0, 0, 1}), 0, 2, 3),
+			withNulls(bat.FromInts([]int64{1, 0, 1, 0, 0}), 1, 3, 4)},
+			[]int64{0, 1, 0, 2, 1}},
+	} {
+		got := groupIDs(t, c.name, c.keys)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: gids %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

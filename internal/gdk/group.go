@@ -2,6 +2,8 @@ package gdk
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/bat"
 	"repro/internal/par"
@@ -74,9 +76,10 @@ func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 		}
 	}
 	gids := make([]int64, n)
+	gr := newGrouper(keys)
 	plan := par.NewPlan(n)
 	if !plan.Parallel() {
-		extents := groupRange(keys, 0, n, gids)
+		extents := gr.groupRange(0, n, gids)
 		return groupResult(gids, extents), nil
 	}
 
@@ -85,20 +88,18 @@ func Group(keys []*bat.BAT, cand *bat.BAT) (*GroupResult, error) {
 	// order; gids temporarily holds partition-local ids.
 	localExtents := make([][]int64, plan.Chunks())
 	plan.Run(func(c, lo, hi int) {
-		localExtents[c] = groupRange(keys, lo, hi, gids)
+		localExtents[c] = gr.groupRange(lo, hi, gids)
 	})
 
 	// Phase 2: merge partitions in order. Each local group's representative
 	// row is looked up in the global table; processing partitions in row
 	// order makes global ids dense in first-occurrence order.
-	table := make(map[uint64][]int32)
 	var extents []int64
 	remaps := make([][]int64, plan.Chunks())
-	rh := newRowHasher(keys)
 	for c := range localExtents {
 		remap := make([]int64, len(localExtents[c]))
 		for g, first := range localExtents[c] {
-			remap[g] = mergeGroup(rh, keys, first, table, &extents)
+			remap[g] = gr.merge(first, &extents)
 		}
 		remaps[c] = remap
 	}
@@ -122,9 +123,9 @@ func groupResult(gids, extents []int64) *GroupResult {
 
 // groupSortedRuns groups a sorted NULL-free key column by run detection:
 // one pass, no hash table. ok is false for kinds that keep the hash path:
-// bool (no typed comparison) and float, whose hash path keys on raw bits —
-// it puts -0.0 and 0.0 in different buckets where a value-equality run
-// would merge them, and bit-identity wins over the fast path.
+// bool (no typed comparison) and float, whose order claims do not hold
+// around NaN (every comparison with NaN is false), so equal keys need not
+// be adjacent.
 func groupSortedRuns(key *bat.BAT) (*GroupResult, bool) {
 	n := key.Len()
 	var same func(i int) bool // row i equals row i-1
@@ -158,73 +159,157 @@ func groupSortedRuns(key *bat.BAT) (*GroupResult, bool) {
 	return res, true
 }
 
-// groupRange groups rows [lo,hi) against a fresh local table, writing local
-// group ids (dense from 0 in first-occurrence order) into gids[lo:hi] and
-// returning the groups' absolute first-row positions.
-func groupRange(keys []*bat.BAT, lo, hi int, gids []int64) []int64 {
-	table := make(map[uint64][]int32, hi-lo)
-	extents := make([]int64, 0)
-	rh := newRowHasher(keys)
-	for i := lo; i < hi; i++ {
-		h, ok := rh.row(i)
-		if !ok {
-			// Row contains NULL key(s): all-NULL-pattern rows must still group
-			// by their exact NULL pattern + non-NULL values.
-			h = rh.nullPattern(i)
-		}
-		found := int64(-1)
-		for _, g := range table[h] {
-			first := int(extents[g])
-			if groupRowsEqual(keys, i, first) {
-				found = int64(g)
-				break
+// A grouper assigns group ids over one key layout. groupRange groups rows
+// [lo,hi) against an empty local table, writing local group ids (dense from
+// 0 in first-occurrence order) into gids[lo:hi] and returning the groups'
+// absolute first-row positions; it may run concurrently on disjoint
+// ranges. merge folds one local group, represented by its first row, into
+// the grouper's global table and returns its global id; it runs serially,
+// in partition order.
+type grouper interface {
+	groupRange(lo, hi int, gids []int64) []int64
+	merge(first int64, extents *[]int64) int64
+}
+
+// newGrouper picks the table for the key columns: a single key groups on
+// its decoded value in a typed map, several keys on a row hash.
+func newGrouper(keys []*bat.BAT) grouper {
+	if len(keys) > 1 {
+		return &hashGrouper{rh: newRowHasher(keys), global: map[uint64][]int32{}}
+	}
+	k := keys[0]
+	switch k.Kind() {
+	case types.KindInt, types.KindOID:
+		return newKeyGrouper(k.DecodedInts(), k.NullMask())
+	case types.KindVoid:
+		return newKeyGrouper(k.Materialize().DecodedInts(), nil)
+	case types.KindFloat:
+		vals := k.DecodedFloats()
+		bits := make([]uint64, len(vals))
+		par.Do(len(vals), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				bits[i] = floatKey(vals[i])
 			}
+		})
+		return newKeyGrouper(bits, k.NullMask())
+	case types.KindBool:
+		return newKeyGrouper(k.DecodedBools(), k.NullMask())
+	default:
+		return newKeyGrouper(k.DecodedStrs(), k.NullMask())
+	}
+}
+
+// keyGrouper groups a single key column by its typed value. NULL rows get
+// their own group slot, outside the map.
+type keyGrouper[K comparable] struct {
+	vals   []K
+	nulls  *bat.Bitmap
+	global map[K]int32
+	nullG  int64 // global id of the NULL group, -1 until seen
+	// scratch recycles partition tables (*keyScratch[K]): cancellable
+	// plans cut the input into many small morsels, and a fresh map per
+	// morsel would regrow to the group count every time.
+	scratch sync.Pool
+}
+
+type keyScratch[K comparable] struct {
+	table   map[K]int32
+	extents []int64
+}
+
+func newKeyGrouper[K comparable](vals []K, nulls *bat.Bitmap) *keyGrouper[K] {
+	return &keyGrouper[K]{vals: vals, nulls: nulls, global: map[K]int32{}, nullG: -1}
+}
+
+func (g *keyGrouper[K]) groupRange(lo, hi int, gids []int64) []int64 {
+	sc, _ := g.scratch.Get().(*keyScratch[K])
+	if sc == nil {
+		sc = &keyScratch[K]{table: make(map[K]int32)}
+	}
+	table, extents := sc.table, sc.extents[:0]
+	nullG := int64(-1)
+	for i := lo; i < hi; i++ {
+		if g.nulls.Get(i) {
+			if nullG < 0 {
+				nullG = int64(len(extents))
+				extents = append(extents, int64(i))
+			}
+			gids[i] = nullG
+			continue
 		}
-		if found < 0 {
-			found = int64(len(extents))
+		v := g.vals[i]
+		id, ok := table[v]
+		if !ok {
+			id = int32(len(extents))
 			extents = append(extents, int64(i))
-			table[h] = append(table[h], int32(found))
+			table[v] = id
 		}
-		gids[i] = found
+		gids[i] = int64(id)
+	}
+	out := slices.Clone(extents)
+	clear(table)
+	sc.extents = extents
+	g.scratch.Put(sc)
+	return out
+}
+
+func (g *keyGrouper[K]) merge(first int64, extents *[]int64) int64 {
+	i := int(first)
+	if g.nulls.Get(i) {
+		if g.nullG < 0 {
+			g.nullG = int64(len(*extents))
+			*extents = append(*extents, first)
+		}
+		return g.nullG
+	}
+	v := g.vals[i]
+	if id, ok := g.global[v]; ok {
+		return int64(id)
+	}
+	id := int32(len(*extents))
+	*extents = append(*extents, first)
+	g.global[v] = id
+	return int64(id)
+}
+
+// hashGrouper groups several key columns: rows hash through the rowHasher
+// and each hash bucket lists the groups whose first row has that hash.
+type hashGrouper struct {
+	rh     rowHasher
+	global map[uint64][]int32
+}
+
+func (g *hashGrouper) groupRange(lo, hi int, gids []int64) []int64 {
+	table := make(map[uint64][]int32)
+	var extents []int64
+	for i := lo; i < hi; i++ {
+		gids[i] = g.find(i, table, &extents)
 	}
 	return extents
 }
 
-// mergeGroup folds one local group (represented by its first row) into the
-// global table, returning its global id.
-func mergeGroup(rh rowHasher, keys []*bat.BAT, first int64, table map[uint64][]int32, extents *[]int64) int64 {
-	i := int(first)
-	h, ok := rh.row(i)
-	if !ok {
-		h = rh.nullPattern(i)
-	}
-	for _, g := range (table)[h] {
-		if groupRowsEqual(keys, i, int((*extents)[g])) {
-			return int64(g)
-		}
-	}
-	gid := int64(len(*extents))
-	*extents = append(*extents, first)
-	table[h] = append(table[h], int32(gid))
-	return gid
+func (g *hashGrouper) merge(first int64, extents *[]int64) int64 {
+	return g.find(int(first), g.global, extents)
 }
 
-// groupRowsEqual compares two rows with GROUP BY semantics (NULL equals
-// NULL, NULL differs from every value).
-func groupRowsEqual(keys []*bat.BAT, i, j int) bool {
-	for _, k := range keys {
-		in, jn := k.IsNull(i), k.IsNull(j)
-		if in != jn {
-			return false
-		}
-		if in {
-			continue
-		}
-		if !k.Get(i).Equal(k.Get(j)) {
-			return false
+// find returns the id of row i's group in table, adding a new group (with
+// row i as its first row) when none matches.
+func (g *hashGrouper) find(i int, table map[uint64][]int32, extents *[]int64) int64 {
+	h, ok := g.rh.row(i)
+	if !ok {
+		// Rows with NULL key(s) group by their exact NULL pattern plus
+		// their non-NULL values.
+		h = g.rh.nullPattern(i)
+	}
+	for _, id := range table[h] {
+		if g.rh.equal(i, int((*extents)[id])) {
+			return int64(id)
 		}
 	}
-	return true
+	id := int32(len(*extents))
+	*extents = append(*extents, int64(i))
+	table[h] = append(table[h], id)
+	return int64(id)
 }
 
 // Unique returns the positions of the first occurrence of each distinct row

@@ -48,16 +48,33 @@ func mixString(h uint64, s string) uint64 {
 	return h
 }
 
-// rowHasher hashes rows of a fixed key-column list. Construction resolves
-// each column to its decoded typed view once (one slab-layer charge per
-// column, and a single decode for encoded columns), so the per-row loops —
-// which run millions of times inside joins and grouping — touch only flat
-// slices. A rowHasher is read-only after construction and safe to share
-// across workers.
+// canonNaN is the one NaN every NaN key maps to (see floatKey).
+var canonNaN = math.Float64bits(math.NaN())
+
+// floatKey returns the bits a FLOAT key hashes and groups by: every NaN
+// maps to one NaN and -0.0 to 0.0, so values that are one group in SQL
+// share one key. Ordering comparisons keep their own NaN convention.
+func floatKey(f float64) uint64 {
+	switch {
+	case f != f:
+		return canonNaN
+	case f == 0:
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
+// rowHasher hashes and compares rows of a fixed key-column list.
+// Construction resolves each column to its decoded typed view once (one
+// slab-layer charge per column, and a single decode for encoded columns),
+// so the per-row loops — which run millions of times inside joins and
+// grouping — touch only flat slices. A rowHasher is read-only after
+// construction and safe to share across workers.
 type rowHasher struct {
 	cols  []*bat.BAT
 	isStr []bool
 	mix   []func(h uint64, i int) uint64
+	eq    []func(i, j int) bool // non-NULL rows i and j hold one key value
 }
 
 func newRowHasher(cols []*bat.BAT) rowHasher {
@@ -65,21 +82,22 @@ func newRowHasher(cols []*bat.BAT) rowHasher {
 		cols:  cols,
 		isStr: make([]bool, len(cols)),
 		mix:   make([]func(uint64, int) uint64, len(cols)),
+		eq:    make([]func(int, int) bool, len(cols)),
 	}
 	for k, c := range cols {
 		switch c.Kind() {
 		case types.KindInt, types.KindOID:
 			vals := c.DecodedInts()
 			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, uint64(vals[i])) }
+			rh.eq[k] = func(i, j int) bool { return vals[i] == vals[j] }
 		case types.KindVoid:
 			base := uint64(c.Seqbase())
 			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, base+uint64(i)) }
+			rh.eq[k] = func(i, j int) bool { return i == j }
 		case types.KindFloat:
-			// Normalise so that int-valued floats hash like ints when joined
-			// against integer columns (keys are pre-promoted by the compiler,
-			// so this only defends against mixed use at the kernel level).
 			vals := c.DecodedFloats()
-			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, math.Float64bits(vals[i])) }
+			rh.mix[k] = func(h uint64, i int) uint64 { return mix64(h, floatKey(vals[i])) }
+			rh.eq[k] = func(i, j int) bool { return floatKey(vals[i]) == floatKey(vals[j]) }
 		case types.KindBool:
 			vals := c.DecodedBools()
 			rh.mix[k] = func(h uint64, i int) uint64 {
@@ -88,12 +106,15 @@ func newRowHasher(cols []*bat.BAT) rowHasher {
 				}
 				return mixByte(h, 0)
 			}
+			rh.eq[k] = func(i, j int) bool { return vals[i] == vals[j] }
 		case types.KindStr:
 			rh.isStr[k] = true
 			vals := c.DecodedStrs()
 			rh.mix[k] = func(h uint64, i int) uint64 { return mixString(h, vals[i]) }
+			rh.eq[k] = func(i, j int) bool { return vals[i] == vals[j] }
 		default:
 			rh.mix[k] = func(h uint64, i int) uint64 { return h }
+			rh.eq[k] = func(i, j int) bool { return true }
 		}
 	}
 	return rh
@@ -131,12 +152,20 @@ func (rh rowHasher) nullPattern(i int) uint64 {
 	return h
 }
 
-// hashRow hashes row i of every key column (one-shot convenience; loops
-// build a rowHasher once instead).
-func hashRow(cols []*bat.BAT, i int) (uint64, bool) { return newRowHasher(cols).row(i) }
-
-// nullPatternHash is the one-shot form of rowHasher.nullPattern.
-func nullPatternHash(keys []*bat.BAT, i int) uint64 { return newRowHasher(keys).nullPattern(i) }
+// equal compares rows i and j with GROUP BY semantics: NULL equals NULL
+// and differs from every value.
+func (rh rowHasher) equal(i, j int) bool {
+	for k, c := range rh.cols {
+		in, jn := c.IsNull(i), c.IsNull(j)
+		if in != jn {
+			return false
+		}
+		if !in && !rh.eq[k](i, j) {
+			return false
+		}
+	}
+	return true
+}
 
 // hashRows computes rowHasher.row for rows [0,n) of cols into hs, with ok
 // bits in valid, splitting the work across the pool. Both slices must be

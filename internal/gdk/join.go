@@ -96,9 +96,9 @@ func mergeJoinEligible(l, r *bat.BAT) bool {
 }
 
 // keyFamily buckets storage kinds that compare identically for join
-// purposes (0 = unsupported). Floats stay on the hash paths: the hash
-// join keys on raw bits, under which -0.0 and 0.0 differ, while a sorted
-// merge would have to unify them — the two paths would disagree.
+// purposes (0 = unsupported). Floats stay on the hash paths: every
+// comparison with NaN is false, so a float column's order claims need not
+// hold around NaN and a merge could miss matches the hash join finds.
 func keyFamily(k types.Kind) int {
 	switch k {
 	case types.KindVoid, types.KindInt, types.KindOID:

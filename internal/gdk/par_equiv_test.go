@@ -67,6 +67,36 @@ func mkFloats(rng *rand.Rand, n int) *bat.BAT {
 	return b
 }
 
+// mkExtremes builds an int key drawn from {MinInt64, -1, 0, MaxInt64}
+// with ~1/8 NULLs, so every chunk holds both ends of the domain.
+func mkExtremes(rng *rand.Rand, n int) *bat.BAT {
+	vals := make([]int64, n)
+	b := bat.FromInts(vals)
+	dom := []int64{math.MinInt64, -1, 0, math.MaxInt64}
+	for i := range vals {
+		vals[i] = dom[rng.Intn(len(dom))]
+	}
+	for i := 0; i < n; i += 8 {
+		b.SetNull(rng.Intn(n), true)
+	}
+	return b
+}
+
+// mkFloatKeys builds a float key over a small domain that holds NaNs of
+// both signs and both zeros (one group each in SQL), with ~1/8 NULLs.
+func mkFloatKeys(rng *rand.Rand, n int) *bat.BAT {
+	vals := make([]float64, n)
+	b := bat.FromFloats(vals)
+	dom := []float64{math.NaN(), -math.NaN(), 0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1)}
+	for i := range vals {
+		vals[i] = dom[rng.Intn(len(dom))]
+	}
+	for i := 0; i < n; i += 8 {
+		b.SetNull(rng.Intn(n), true)
+	}
+	return b
+}
+
 func mkBools(rng *rand.Rand, n int) *bat.BAT {
 	vals := make([]bool, n)
 	b := bat.FromBools(vals)
@@ -315,19 +345,36 @@ func TestParEquivGroupAggr(t *testing.T) {
 			gids, extents *bat.BAT
 			n             int
 		}
-		runBoth(t, func() groupOut {
-			g, err := Group([]*bat.BAT{key1, key2}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return groupOut{g.GIDs, g.Extents, g.N}
-		}, func(s, p groupOut) {
-			if s.n != p.n {
-				t.Fatalf("group n=%d: %d vs %d groups", n, s.n, p.n)
-			}
-			batsEqual(t, fmt.Sprintf("group gids n=%d", n), s.gids, p.gids)
-			batsEqual(t, fmt.Sprintf("group extents n=%d", n), s.extents, p.extents)
-		})
+		oids := candVariants(n)["oids"]
+		for _, c := range []struct {
+			name string
+			keys []*bat.BAT
+			cand *bat.BAT
+		}{
+			{"int", []*bat.BAT{key1}, nil},
+			{"int pair", []*bat.BAT{key1, key2}, nil},
+			{"int extremes", []*bat.BAT{mkExtremes(rng, n)}, nil},
+			{"float", []*bat.BAT{mkFloatKeys(rng, n)}, nil},
+			{"bool", []*bat.BAT{mkBools(rng, n)}, nil},
+			{"str", []*bat.BAT{mkStrs(rng, n)}, nil},
+			{"float+str", []*bat.BAT{mkFloatKeys(rng, n), mkStrs(rng, n)}, nil},
+			{"encoded cand", []*bat.BAT{encTwin(t, addNulls(rng, encDataset("lowcard", rng, n)), true)}, oids},
+		} {
+			label := fmt.Sprintf("group %s n=%d", c.name, n)
+			runBoth(t, func() groupOut {
+				g, err := Group(c.keys, c.cand)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return groupOut{g.GIDs, g.Extents, g.N}
+			}, func(s, p groupOut) {
+				if s.n != p.n {
+					t.Fatalf("%s: %d vs %d groups", label, s.n, p.n)
+				}
+				batsEqual(t, label+" gids", s.gids, p.gids)
+				batsEqual(t, label+" extents", s.extents, p.extents)
+			})
+		}
 
 		g, err := Group([]*bat.BAT{key1}, nil)
 		if err != nil {
@@ -389,26 +436,67 @@ func TestParEquivJoins(t *testing.T) {
 }
 
 func TestParEquivTileSAT(t *testing.T) {
-	// A 160x160 grid (25600 cells) with a 5x5 tile, straddling nothing in
-	// particular but large enough to engage the pool at the forced cutoff.
-	const side = 160
-	sh := shape.Shape{
-		{Name: "x", Start: 0, Step: 1, Stop: side},
-		{Name: "y", Start: 0, Step: 1, Stop: side},
+	// Grids large enough to engage the pool at the forced cutoff: a
+	// 160x160 int array with NULL cells and the same shape as float, a
+	// NULL-free int array (COUNT is then the clipped area), and 1-D and
+	// 3-D arrays with their own tiles.
+	sq := shape.Shape{
+		{Name: "x", Start: 0, Step: 1, Stop: 160},
+		{Name: "y", Start: 0, Step: 1, Stop: 160},
+	}
+	line := shape.Shape{{Name: "x", Start: -5, Step: 2, Stop: 2*30000 - 5}}
+	cube := shape.Shape{
+		{Name: "x", Start: 0, Step: 1, Stop: 30},
+		{Name: "y", Start: -3, Step: 1, Stop: 27},
+		{Name: "z", Start: 0, Step: 1, Stop: 30},
 	}
 	rng := rand.New(rand.NewSource(7))
-	attr := mkInts(rng, side*side)
-	tile := []TileRange{{Lo: -2, Hi: 3}, {Lo: -2, Hi: 3}}
-	for _, agg := range []AggKind{AggSum, AggCount, AggAvg} {
-		runBoth(t, func() *bat.BAT {
-			out, err := TileAggSAT(agg, attr, sh, tile)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}, func(s, p *bat.BAT) {
-			batsEqual(t, fmt.Sprintf("tilesat %s", agg), s, p)
-		})
+	noNulls := mkInts(rng, sq.Cells())
+	noNulls.SetNullMask(nil)
+	box5 := []TileRange{{Lo: -2, Hi: 3}, {Lo: -2, Hi: 3}}
+	for _, c := range []struct {
+		name string
+		sh   shape.Shape
+		attr *bat.BAT
+		tile []TileRange
+	}{
+		{"int", sq, mkInts(rng, sq.Cells()), box5},
+		{"float", sq, mkFloats(rng, sq.Cells()), box5},
+		{"int no nulls", sq, noNulls, box5},
+		{"1-D float", line, mkFloats(rng, line.Cells()), []TileRange{{Lo: -4, Hi: 9}}},
+		{"3-D int", cube, mkInts(rng, cube.Cells()), []TileRange{{Lo: -1, Hi: 2}, {Lo: 0, Hi: 3}, {Lo: -2, Hi: 1}}},
+	} {
+		for _, agg := range []AggKind{AggSum, AggCount, AggAvg} {
+			label := fmt.Sprintf("tilesat %s %s", c.name, agg)
+			runBoth(t, func() *bat.BAT {
+				out, err := TileAggSAT(agg, c.attr, c.sh, c.tile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}, func(s, p *bat.BAT) {
+				batsIdentical(t, label, s, p)
+				want, err := TileAgg(agg, c.attr, c.sh, c.tile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batsClose(t, label+" vs TileAgg", want, s)
+			})
+		}
+	}
+}
+
+// batsIdentical is batsEqual with float rows compared bit for bit.
+func batsIdentical(t *testing.T, label string, a, b *bat.BAT) {
+	t.Helper()
+	batsEqual(t, label, a, b)
+	if a.ValueKind() != types.KindFloat {
+		return
+	}
+	for i, x := range a.Floats() {
+		if y := b.Floats()[i]; !a.IsNull(i) && math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("%s: row %d bits %x vs %x", label, i, math.Float64bits(x), math.Float64bits(y))
+		}
 	}
 }
 
